@@ -1,9 +1,10 @@
 """Run the benchmark over several seeds and report each metric's spread.
 
-    python3 bench/spread.py --workload NAME [--seeds 1-10] [--trace 0] [--out FILE]
+    python3 bench/spread.py --workload NAME [--seeds 0-9] [--out FILE]
 
-Runs ``bench/run.py`` once per seed, one after another, with the
-``run_seconds`` of ``BENCHMARK.json``.  For every metric it prints the
+Runs ``bench/run.py`` untraced once per seed, one after another, with the
+``run_seconds`` of ``BENCHMARK.json``; the default seeds are those whose
+digests ``digests.json`` records.  For every metric it prints the
 median, the quartiles (``statistics.quantiles(values, n=4)``) and the
 inter-quartile distance as a share of the median, next to the metric's
 bound: a spread above a third of the bound is flagged.  ``--out`` writes
@@ -30,21 +31,19 @@ def seed_list(text: str) -> list[int]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", type=seed_list, default=seed_list("1-10"))
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--seconds", type=int, help="override run_seconds")
+    parser.add_argument("--seeds", type=seed_list, default=seed_list("0-9"))
     parser.add_argument("--out", type=Path)
     args = parser.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     bounds = {m["name"]: m.get("bound") for m in spec["end_to_end"] + spec["per_layer"]}
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
 
     runs = []
     for seed in args.seeds:
         out = subprocess.run(
             [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", args.workload,
-             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(args.trace)],
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
             capture_output=True, text=True, timeout=900, check=True, cwd=ROOT,
         )
         lines = out.stdout.strip().splitlines()
@@ -67,7 +66,7 @@ def main() -> None:
               f"{'' if bound is None else bound:>6}{flag}")
     if args.out:
         args.out.write_text(json.dumps(
-            {"workload": args.workload, "trace": args.trace, "seconds": seconds,
+            {"workload": args.workload, "seconds": seconds,
              "summary": summary, "runs": runs}, indent=2) + "\n")
 
 

@@ -13,8 +13,9 @@ sys.path.insert(0, str(BENCH.parent / "src"))
 sys.path.insert(0, str(BENCH))
 
 import specdec  # noqa: E402
-from setup_probe import build_models  # noqa: E402
+from run import NEXT_PER_SLICE, Clock, build_traced_models  # noqa: E402
 from spans import Tracer, Wrapper  # noqa: E402
+from specdec.harness import build_models  # noqa: E402
 
 LENGTH = 28
 
@@ -28,10 +29,9 @@ def config():
                                     specdec.AcceptancePolicy.relaxed(9)])
 def test_wrapped_models_emit_identical_tokens(config, policy):
     params = config.tree_params()
-    verifier, draft = build_models(specdec, config)
+    verifier, draft = build_models(config)
     tracer = Tracer(params.max_nodes, params.max_depth)
-    traced_verifier, traced_draft = tracer.wrap(
-        *build_models(specdec, config, wrap=tracer.counter))
+    traced_verifier, traced_draft = tracer.wrap(*build_traced_models(specdec, config, tracer))
 
     steps = 0
     for index in range(3):
@@ -49,6 +49,34 @@ def test_wrapped_models_emit_identical_tokens(config, policy):
     summary = tracer.summary()
     assert summary["models.draft.rounds_per_step"] == params.max_depth
     assert summary["models.verifier.nodes_scored_per_step"] == params.max_nodes + 1
+
+
+def test_clock_counts_the_latency_each_round_injects(config):
+    params = config.tree_params()
+    verifier, draft = build_models(config)
+    clock = Clock(verify_latency=1e-4, draft_latency=1e-5)
+    clocked_verifier = Wrapper(specdec.TimedVerifier(verifier, 1e-4),
+                               {"next": clock.on_next, "batch": clock.on_batch})
+    clocked_draft = Wrapper(specdec.TimedDraft(draft, 1e-5), {"propose_many": clock.on_draft})
+    state = specdec.PrefixState(prompt_id="ep0", observation_id="obs0")
+    policy = specdec.AcceptancePolicy.strict()
+
+    tokens, outcomes = specdec.decode_episode(
+        state, clocked_verifier, clocked_draft, params, policy, LENGTH)
+    assert (tokens, outcomes) == specdec.decode_episode(
+        state, verifier, draft, params, policy, LENGTH)
+    rounds = len(outcomes)
+    injected = rounds * 1e-4 + rounds * params.max_depth * 1e-5
+    assert clock.injected == pytest.approx(injected)
+    assert len(clock.marks) == len(clock.op_s) == rounds
+    times = clock.reference(0.0, clock.marks[-1][0] + clock.sliced)
+    assert len(times) == rounds + 1
+    assert times == sorted(times) and times[-1] > injected
+
+    clock.reset()
+    specdec.ar_decode(state, clocked_verifier, LENGTH)
+    assert clock.injected == pytest.approx(LENGTH * 1e-4)
+    assert len(clock.marks) == LENGTH // NEXT_PER_SLICE
 
 
 class Model:

@@ -36,7 +36,6 @@ from .harness import (
 )
 from .models import (
     Distribution,
-    FeatureContext,
     HashVerifier,
     NoisyDraft,
     PrefixState,
@@ -70,7 +69,6 @@ __all__ = [
     "DraftNode",
     "DraftTree",
     "EpisodeStats",
-    "FeatureContext",
     "HashVerifier",
     "NoisyDraft",
     "PrefixState",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import DraftModel, FeatureContext, PrefixState
+from .models import DraftModel, PrefixState
 
 
 class TreeStructureError(ValueError):
@@ -87,63 +87,45 @@ class DraftTree:
         return tuple(reversed(rev))
 
 
-def _rank_key(cum_score: float, depth: int, path: tuple[int, ...]):
-    # Total order: best score first, then shallower, then lexicographic token
-    # path.  Fully structural, so builds and oracles agree on ties.
-    return (-cum_score, depth, path)
-
-
-def build_tree(
-    state: PrefixState,
-    ctx: FeatureContext,
-    draft: DraftModel,
-    params: TreeParams,
-) -> DraftTree:
+def build_tree(state: PrefixState, draft: DraftModel, params: TreeParams) -> DraftTree:
     """Grow a draft tree from ``state`` under the given expansion budget."""
-    # Candidates are (cum_score, depth, path, parent_path); survivors are
+    # Each candidate is stored as its rank key (-cum_score, depth, path): best
+    # score first, then shallower, then lexicographic token path.  Fully
+    # structural, so builds and oracles agree on ties.  Survivors are
     # re-selected from the full pool after every level.
-    selected: dict[tuple[int, ...], tuple[float, int]] = {}  # path -> (cum, depth)
+    selected: dict[tuple[int, ...], tuple[float, int, tuple[int, ...]]] = {}
     frontier: list[tuple[int, ...]] = [()]  # paths to expand next, root first
 
     for depth in range(1, params.max_depth + 1):
         if not frontier:
             break
         states = [state.extend_many(path) for path in frontier]
-        ctxs = [_extend_ctx(ctx, path) for path in frontier]
-        proposals = draft.propose_many(states, ctxs, params.top_k)
+        proposals = draft.propose_many(states, params.top_k)
 
         for path, props in zip(frontier, proposals):
-            base = selected[path][0] if path else 0.0
+            base = -selected[path][0] if path else 0.0
             for token, logp in props:
-                selected[path + (token,)] = (base + logp, depth)
+                child = path + (token,)
+                selected[child] = (-(base + logp), depth, child)
 
-        ranked = sorted(
-            selected.items(), key=lambda item: _rank_key(item[1][0], item[1][1], item[0])
-        )
-        kept: dict[tuple[int, ...], tuple[float, int]] = {}
-        for path, (cum, d) in ranked:
+        kept: dict[tuple[int, ...], tuple[float, int, tuple[int, ...]]] = {}
+        for key in sorted(selected.values()):
             if len(kept) == params.max_nodes:
                 break
+            path = key[2]
             if len(path) > 1 and path[:-1] not in kept:
                 continue  # parent lost the budget race; drop the subtree
-            kept[path] = (cum, d)
-        selected = kept
-        frontier = [p for p in selected if len(p) == depth]
+            kept[path] = key
+        selected = kept  # in rank order, which the node list keeps
+        frontier = [path for path in selected if len(path) == depth]
 
-    order = sorted(selected.items(), key=lambda item: _rank_key(item[1][0], item[1][1], item[0]))
     index_of: dict[tuple[int, ...], int] = {}
     nodes: list[DraftNode] = []
-    for path, (cum, d) in order:
+    for neg_cum, d, path in selected.values():
         parent = ROOT if len(path) == 1 else index_of[path[:-1]]
         index_of[path] = len(nodes)
-        nodes.append(DraftNode(token=path[-1], parent=parent, depth=d, cum_score=cum))
+        nodes.append(DraftNode(token=path[-1], parent=parent, depth=d, cum_score=-neg_cum))
     return DraftTree(nodes=tuple(nodes), params=params)
-
-
-def _extend_ctx(ctx: FeatureContext, path: tuple[int, ...]) -> FeatureContext:
-    for token in path:
-        ctx = ctx.extend(token)
-    return ctx
 
 
 def flatten(tree: DraftTree) -> tuple[list[int], list[int], np.ndarray]:

@@ -32,8 +32,6 @@ if TYPE_CHECKING:
 # Tokens are hashed as uint16, which caps usable vocabularies.
 MAX_VOCAB_SIZE = 65535
 
-FEATURE_DIM = 4
-
 
 @dataclass(frozen=True)
 class PrefixState:
@@ -54,41 +52,6 @@ class PrefixState:
         return PrefixState(
             self.prompt_id, self.observation_id, self.emitted + tuple(int(t) for t in tokens)
         )
-
-
-def _mix64(x: int) -> int:
-    # splitmix64 finalizer; cheap stand-in for real hidden-state features
-    x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return x ^ (x >> 31)
-
-
-def _feature_vector(token: int, position: int) -> tuple[float, ...]:
-    h = _mix64((int(token) << 20) ^ int(position))
-    return tuple(((h >> (16 * i)) & 0xFFFF) / 65536.0 for i in range(FEATURE_DIM))
-
-
-@dataclass(frozen=True)
-class FeatureContext:
-    """Opaque per-position feature vectors carried alongside a prefix.
-
-    Mirrors the hidden-state/embedding stream a real backbone would hand to
-    its draft head.  Synthetic models ignore the values; the invariant that
-    matters is one fixed-length vector per emitted token.
-    """
-
-    vectors: tuple[tuple[float, ...], ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    @classmethod
-    def for_state(cls, state: PrefixState) -> FeatureContext:
-        return cls(tuple(_feature_vector(t, i) for i, t in enumerate(state.emitted)))
-
-    def extend(self, token: int) -> FeatureContext:
-        return FeatureContext(self.vectors + (_feature_vector(token, len(self.vectors)),))
 
 
 @dataclass(frozen=True)
@@ -130,17 +93,11 @@ class Verifier(Protocol):
 
     def batch(self, state: PrefixState, tree: DraftTree) -> TreeDistributions: ...
 
-    def features(self, state: PrefixState) -> FeatureContext: ...
-
 
 @runtime_checkable
 class DraftModel(Protocol):
-    def propose(
-        self, state: PrefixState, ctx: FeatureContext, k: int
-    ) -> list[tuple[int, float]]: ...
-
     def propose_many(
-        self, states: Sequence[PrefixState], ctxs: Sequence[FeatureContext], k: int
+        self, states: Sequence[PrefixState], k: int
     ) -> list[list[tuple[int, float]]]: ...
 
 
@@ -194,9 +151,6 @@ class HashVerifier:
             paths.append(path)
             dists.append(self._distribution(state.prompt_id, state.observation_id, path))
         return TreeDistributions(root=root, nodes=dists)
-
-    def features(self, state: PrefixState) -> FeatureContext:
-        return FeatureContext.for_state(state)
 
 
 def displacement_pmf(noise_sigma: float, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -256,6 +210,8 @@ class NoisyDraft:
         # Proposal-score kernel magnitudes, shared across centers.
         mags = np.arange(self.vocab_size, dtype=np.float64)
         self._kernel = np.exp(-(mags**2) / (2.0 * proposal_sigma**2)) + 1e-12
+        # The ranking depends only on (center, k): at most V entries per k.
+        self._ranked_by_center: dict[tuple[int, int], list[tuple[int, float]]] = {}
 
     def _uniform(self, tag: bytes, state: PrefixState) -> float:
         key = _prefix_digest(self.seed, tag, state.prompt_id, state.observation_id, state.emitted)
@@ -271,22 +227,26 @@ class NoisyDraft:
         offset = int(self._offsets[idx])
         return int(np.clip(target + offset, 0, self.vocab_size - 1))
 
-    def propose(self, state: PrefixState, ctx: FeatureContext, k: int) -> list[tuple[int, float]]:
-        if not 1 <= k <= self.vocab_size:
-            raise ValueError(f"k must be in [1, {self.vocab_size}], got {k}")
-        center = self._center(state)
-        bins = np.arange(self.vocab_size)
-        weights = self._kernel[np.abs(bins - center)]
-        probs = weights / weights.sum()
-        # Stable sort on descending probability: ties resolve to lower bin IDs.
-        order = np.argsort(-probs, kind="stable")[:k]
-        logp = np.log(probs[order])
-        return [(int(b), float(lp)) for b, lp in zip(order, logp)]
+    def _ranked(self, center: int, k: int) -> list[tuple[int, float]]:
+        """Top-``k`` ``(bin, log-score)`` proposals around ``center``, best first."""
+        ranked = self._ranked_by_center.get((center, k))
+        if ranked is None:
+            bins = np.arange(self.vocab_size)
+            weights = self._kernel[np.abs(bins - center)]
+            probs = weights / weights.sum()
+            # Stable sort on descending probability: ties resolve to lower bin IDs.
+            order = np.argsort(-probs, kind="stable")[:k]
+            logp = np.log(probs[order])
+            ranked = [(int(b), float(lp)) for b, lp in zip(order, logp)]
+            self._ranked_by_center[(center, k)] = ranked
+        return list(ranked)
 
     def propose_many(
-        self, states: Sequence[PrefixState], ctxs: Sequence[FeatureContext], k: int
+        self, states: Sequence[PrefixState], k: int
     ) -> list[list[tuple[int, float]]]:
-        return [self.propose(s, c, k) for s, c in zip(states, ctxs)]
+        if not 1 <= k <= self.vocab_size:
+            raise ValueError(f"k must be in [1, {self.vocab_size}], got {k}")
+        return [self._ranked(self._center(state), k) for state in states]
 
 
 def make_noisy_draft(
@@ -320,8 +280,7 @@ def simulate_latency(seconds: float) -> None:
 class TimedVerifier:
     """Wrap a verifier so every query round costs a fixed latency.
 
-    ``next`` and ``batch`` each model one forward pass of the large model;
-    feature extraction is a byproduct of the pass and stays free.
+    ``next`` and ``batch`` each model one forward pass of the large model.
     """
 
     def __init__(self, inner: Verifier, latency_s: float):
@@ -337,9 +296,6 @@ class TimedVerifier:
         simulate_latency(self.latency_s)
         return self.inner.batch(state, tree)
 
-    def features(self, state: PrefixState) -> FeatureContext:
-        return self.inner.features(state)
-
 
 class TimedDraft:
     """Wrap a draft model so every proposal round costs a fixed latency.
@@ -352,12 +308,8 @@ class TimedDraft:
         self.inner = inner
         self.latency_s = float(latency_s)
 
-    def propose(self, state: PrefixState, ctx: FeatureContext, k: int) -> list[tuple[int, float]]:
-        simulate_latency(self.latency_s)
-        return self.inner.propose(state, ctx, k)
-
     def propose_many(
-        self, states: Sequence[PrefixState], ctxs: Sequence[FeatureContext], k: int
+        self, states: Sequence[PrefixState], k: int
     ) -> list[list[tuple[int, float]]]:
         simulate_latency(self.latency_s)
-        return self.inner.propose_many(states, ctxs, k)
+        return self.inner.propose_many(states, k)

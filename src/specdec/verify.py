@@ -122,13 +122,15 @@ def verify_tree(
     ``verified[0]`` conditions on the committed prefix alone and
     ``verified[i + 1]`` on the prefix extended by node ``i``'s root path.
     Ties on accepted length go to the path with the best leaf cumulative
-    score (the enumeration order), then the lower path index.
+    score (the enumeration order), then the lower path index.  A tree
+    with no nodes degrades to one AR step: the empty path, fully accepted,
+    followed by the verifier's bonus token.
     """
     if len(verified) != len(tree.nodes) + 1:
         raise TreeStructureError(
             f"expected {len(tree.nodes) + 1} verifier argmaxes, got {len(verified)}"
         )
-    paths = enumerate_paths(tree)
+    paths = enumerate_paths(tree) or [[]]
     best_index = 0
     best_accepted = -1
     best_next = 0
@@ -184,15 +186,22 @@ def decode_episode(
     appends the step's emitted tokens.  The token sequence is truncated to
     exactly ``length``; the outcome list keeps every full verification step.
     With a strict policy the output is token-identical to :func:`ar_decode`.
+    Raises :class:`TreeStructureError` when the draft proposes a token
+    outside the verifier's vocabulary.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
     tokens: list[int] = []
     outcomes: list[VerifyOutcome] = []
     st = state
+    vocab_size = verifier.vocab_size
     while len(tokens) < length:
-        ctx = verifier.features(st)
-        tree = build_tree(st, ctx, draft, params)
+        tree = build_tree(st, draft, params)
+        for i, node in enumerate(tree.nodes):
+            if not 0 <= node.token < vocab_size:
+                raise TreeStructureError(
+                    f"node {i} token {node.token} outside vocabulary [0, {vocab_size})"
+                )
         scores = verifier.batch(st, tree)
         verified = [scores.root.argmax] + [d.argmax for d in scores.nodes]
         outcome = verify_tree(tree, verified, policy, start_position=st.position)

@@ -8,7 +8,7 @@ the implementation instead of echoing it.
 import numpy as np
 
 from specdec.draft_tree import ROOT, DraftNode, DraftTree, TreeParams
-from specdec.models import Distribution, FeatureContext, TreeDistributions
+from specdec.models import Distribution, TreeDistributions
 
 
 def one_hot(token: int, vocab_size: int) -> Distribution:
@@ -43,9 +43,6 @@ class ScriptedVerifier:
         ]
         return TreeDistributions(root=root, nodes=nodes)
 
-    def features(self, state):
-        return FeatureContext.for_state(state)
-
 
 class ScriptedDraft:
     """Draft model proposing a fixed token per absolute position.
@@ -58,9 +55,7 @@ class ScriptedDraft:
         self.sequence = [int(t) for t in sequence]
         self.vocab_size = vocab_size
 
-    def propose(self, state, ctx, k):
-        if not 1 <= k <= self.vocab_size:
-            raise ValueError(f"k must be in [1, {self.vocab_size}]")
+    def _propose(self, state, k):
         top = self.sequence[state.position % len(self.sequence)]
         tokens = [top]
         step = 0
@@ -73,8 +68,10 @@ class ScriptedDraft:
                     break
         return [(t, -0.1 * i) for i, t in enumerate(tokens)]
 
-    def propose_many(self, states, ctxs, k):
-        return [self.propose(s, c, k) for s, c in zip(states, ctxs)]
+    def propose_many(self, states, k):
+        if not 1 <= k <= self.vocab_size:
+            raise ValueError(f"k must be in [1, {self.vocab_size}]")
+        return [self._propose(s, k) for s in states]
 
 
 def random_tree(rng: np.random.Generator, max_nodes=50, max_depth=4,

@@ -132,7 +132,7 @@ def test_step_monotonicity_in_r():
             draft = make_noisy_draft(verifier, agreement_p=0.4, noise_sigma=5.0)
             state = PrefixState(prompt_id=f"mono{i}", emitted=(int(rng.integers(0, 256)),))
             params = TreeParams(top_k=3, max_depth=4, max_nodes=20)
-            tree = build_tree(state, verifier.features(state), draft, params)
+            tree = build_tree(state, draft, params)
             scores = verifier.batch(state, tree)
             verified = [scores.root.argmax] + [d.argmax for d in scores.nodes]
             lengths = [
@@ -185,15 +185,15 @@ def test_oracle_equivalence():
                 max_nodes=int(rng.integers(1, 21)),
             )
             state = PrefixState(prompt_id=f"or{i}")
-            ctx = verifier.features(state)
-            tree = build_tree(state, ctx, draft, params)
+            tree = build_tree(state, draft, params)
 
             candidates = {}
             frontier = [((), 0.0)]
             for _ in range(params.max_depth):
                 nxt = []
                 for path, cum in frontier:
-                    for token, logp in draft.propose(state.extend_many(path), ctx, params.top_k):
+                    (proposals,) = draft.propose_many([state.extend_many(path)], params.top_k)
+                    for token, logp in proposals:
                         candidates[path + (token,)] = cum + logp
                         nxt.append((path + (token,), cum + logp))
                 frontier = nxt

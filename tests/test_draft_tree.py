@@ -24,7 +24,7 @@ def models_for(seed, agreement_p=0.5, noise_sigma=6.0):
     return verifier, draft
 
 
-def exhaustive_rerank_oracle(state, ctx, draft, params):
+def exhaustive_rerank_oracle(state, draft, params):
     """Reference construction: enumerate the *full* k-ary candidate tree,
     rank every candidate globally, and keep the best ``max_nodes`` whose
     parents are kept.  Valid because a child never outranks its parent.
@@ -35,7 +35,7 @@ def exhaustive_rerank_oracle(state, ctx, draft, params):
     for _ in range(params.max_depth):
         next_frontier = []
         for path, cum in frontier:
-            proposals = draft.propose(state.extend_many(path), ctx, params.top_k)
+            (proposals,) = draft.propose_many([state.extend_many(path)], params.top_k)
             for token, logp in proposals:
                 child = path + (token,)
                 candidates[child] = cum + logp
@@ -57,10 +57,9 @@ class TestBuildTree:
     def test_single_level_is_draft_top_k(self):
         verifier, draft = models_for(1)
         state = PrefixState()
-        ctx = verifier.features(state)
         params = TreeParams(top_k=3, max_depth=1, max_nodes=50)
-        tree = build_tree(state, ctx, draft, params)
-        expected = [t for t, _ in draft.propose(state, ctx, 3)]
+        tree = build_tree(state, draft, params)
+        expected = [t for t, _ in draft.propose_many([state], 3)[0]]
         assert len(tree.nodes) == 3
         assert sorted(n.token for n in tree.nodes) == sorted(expected)
         assert all(n.parent == ROOT and n.depth == 1 for n in tree.nodes)
@@ -69,9 +68,7 @@ class TestBuildTree:
         # top_k=8, depth=4: 8 + 64 + ... candidates, capped at 50 nodes.
         verifier, draft = models_for(2)
         state = PrefixState()
-        tree = build_tree(
-            state, verifier.features(state), draft, TreeParams(top_k=8, max_depth=4, max_nodes=50)
-        )
+        tree = build_tree(state, draft, TreeParams(top_k=8, max_depth=4, max_nodes=50))
         assert len(tree.nodes) == 50
         tree.validate()
 
@@ -92,11 +89,10 @@ class TestBuildTree:
                 prompt_id=f"t{trial}",
                 emitted=tuple(int(t) for t in rng.integers(0, 256, size=rng.integers(0, 3))),
             )
-            ctx = verifier.features(state)
-            tree = build_tree(state, ctx, draft, params)
+            tree = build_tree(state, draft, params)
             tree.validate()
 
-            kept = exhaustive_rerank_oracle(state, ctx, draft, params)
+            kept = exhaustive_rerank_oracle(state, draft, params)
             built = {tree.token_path(i): tree.nodes[i].cum_score for i in range(len(tree.nodes))}
             assert set(built) == set(kept)
             for path, cum in built.items():
@@ -112,16 +108,14 @@ class TestBuildTree:
                 max_nodes=int(rng.integers(1, 61)),
             )
             state = PrefixState(prompt_id=str(rng.integers(1 << 30)))
-            tree = build_tree(state, verifier.features(state), draft, params)
+            tree = build_tree(state, draft, params)
             assert 1 <= len(tree.nodes) <= params.max_nodes
             assert max(n.depth for n in tree.nodes) <= params.max_depth
 
     def test_child_scores_never_exceed_parent(self):
         verifier, draft = models_for(9)
         state = PrefixState()
-        tree = build_tree(
-            state, verifier.features(state), draft, TreeParams(top_k=4, max_depth=4, max_nodes=40)
-        )
+        tree = build_tree(state, draft, TreeParams(top_k=4, max_depth=4, max_nodes=40))
         for node in tree.nodes:
             parent_score = 0.0 if node.parent == ROOT else tree.nodes[node.parent].cum_score
             assert node.cum_score <= parent_score + 1e-12
@@ -131,8 +125,8 @@ class TestBuildTree:
             verifier, draft = models_for(seed)
             state = PrefixState(prompt_id="d")
             params = TreeParams(top_k=8, max_depth=4, max_nodes=50)
-            a = build_tree(state, verifier.features(state), draft, params)
-            b = build_tree(state, verifier.features(state), draft, params)
+            a = build_tree(state, draft, params)
+            b = build_tree(state, draft, params)
             assert a.nodes == b.nodes
 
     def test_invalid_params_rejected(self):
@@ -234,12 +228,7 @@ class TestEnumeratePaths:
         for _ in range(40):
             verifier, draft = models_for(int(rng.integers(0, 100)))
             state = PrefixState(prompt_id=str(rng.integers(1 << 30)))
-            tree = build_tree(
-                state,
-                verifier.features(state),
-                draft,
-                TreeParams(top_k=3, max_depth=3, max_nodes=25),
-            )
+            tree = build_tree(state, draft, TreeParams(top_k=3, max_depth=3, max_nodes=25))
             paths = enumerate_paths(tree)
             scores = [tree.nodes[p[-1]].cum_score for p in paths]
             assert scores == sorted(scores, reverse=True)

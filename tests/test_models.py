@@ -7,7 +7,6 @@ import pytest
 
 from specdec.draft_tree import TreeParams, build_tree
 from specdec.models import (
-    FeatureContext,
     HashVerifier,
     PrefixState,
     displacement_pmf,
@@ -72,9 +71,7 @@ class TestVerifierBatch:
         v = HashVerifier(seed=2)
         draft = make_noisy_draft(v, agreement_p=1.0, noise_sigma=1.0)
         state = state_of(4, 5)
-        tree = build_tree(
-            state, v.features(state), draft, TreeParams(top_k=1, max_depth=1, max_nodes=1)
-        )
+        tree = build_tree(state, draft, TreeParams(top_k=1, max_depth=1, max_nodes=1))
         assert len(tree.nodes) == 1
         result = v.batch(state, tree)
         extended = state.extend(tree.nodes[0].token)
@@ -98,9 +95,7 @@ class TestVerifierBatch:
         v = HashVerifier(seed=1)
         draft = make_noisy_draft(v, agreement_p=0.5, noise_sigma=6.0)
         state = state_of()
-        tree = build_tree(
-            state, v.features(state), draft, TreeParams(top_k=8, max_depth=4, max_nodes=50)
-        )
+        tree = build_tree(state, draft, TreeParams(top_k=8, max_depth=4, max_nodes=50))
         assert len(tree.nodes) == 50
         result = v.batch(state, tree)
         assert len(result.nodes) == 50
@@ -134,7 +129,7 @@ class TestNoisyDraft:
         draft = make_noisy_draft(v, agreement_p=1.0, noise_sigma=1.0)
         for i in range(50):
             state = state_of(i % 256, (3 * i) % 256)
-            (token, logp), = draft.propose(state, v.features(state), 1)
+            (((token, logp),),) = draft.propose_many([state], 1)
             assert token == v.next(state).argmax
             assert logp <= 0.0
 
@@ -142,7 +137,7 @@ class TestNoisyDraft:
         v = HashVerifier(seed=22)
         draft = make_noisy_draft(v, agreement_p=0.5, noise_sigma=6.0)
         state = state_of(100)
-        props = draft.propose(state, v.features(state), 8)
+        (props,) = draft.propose_many([state], 8)
         tokens = [t for t, _ in props]
         scores = [s for _, s in props]
         assert len(set(tokens)) == 8
@@ -152,7 +147,9 @@ class TestNoisyDraft:
         v = HashVerifier(seed=1)
         draft = make_noisy_draft(v, agreement_p=1.0, noise_sigma=1.0)
         with pytest.raises(ValueError):
-            draft.propose(state_of(), v.features(state_of()), 257)
+            draft.propose_many([state_of()], 257)
+        with pytest.raises(ValueError):
+            draft.propose_many([state_of()], 0)
 
     def test_full_agreement_tracks_argmax_everywhere(self):
         v = HashVerifier(seed=23)
@@ -161,7 +158,7 @@ class TestNoisyDraft:
         for _ in range(10_000):
             tokens = tuple(int(t) for t in rng.integers(0, 256, size=rng.integers(0, 4)))
             state = state_of(*tokens)
-            top = draft.propose(state, FeatureContext(), 1)[0][0]
+            top = draft.propose_many([state], 1)[0][0][0]
             assert top == v.next(state).argmax
 
     def test_deterministic_proposals(self):
@@ -169,7 +166,12 @@ class TestNoisyDraft:
         draft = make_noisy_draft(v, agreement_p=0.3, noise_sigma=5.0, seed=9)
         again = make_noisy_draft(v, agreement_p=0.3, noise_sigma=5.0, seed=9)
         state = state_of(7, 7, 7)
-        assert draft.propose(state, FeatureContext(), 8) == again.propose(state, FeatureContext(), 8)
+        first = draft.propose_many([state], 8)
+        assert first == again.propose_many([state], 8)
+        # A repeated query is served from the per-center ranking and must not
+        # hand out the stored list itself.
+        first[0].clear()
+        assert draft.propose_many([state, state], 8) == again.propose_many([state, state], 8)
 
     def test_agreement_calibration_three_sigma(self):
         """Empirical top-1 agreement over 100k prefixes within 3 SE of p."""
@@ -178,10 +180,9 @@ class TestNoisyDraft:
         draft = make_noisy_draft(v, agreement_p=p, noise_sigma=6.0)
         n = 100_000
         agree = 0
-        ctx = FeatureContext()
         for i in range(n):
             state = PrefixState(prompt_id=f"cal{i}", observation_id="o")
-            top = draft.propose(state, ctx, 1)[0][0]
+            top = draft.propose_many([state], 1)[0][0][0]
             agree += top == v.next(state).argmax
         se = (p * (1 - p) / n) ** 0.5
         # Clamping at the vocabulary edge can fold a displacement back onto
@@ -226,28 +227,3 @@ class TestDisplacementPmf:
         # Clamping only increases the within-r mass.
         assert q >= unclamped - 1e-12
         assert q == pytest.approx(unclamped, abs=5e-3)
-
-
-class TestFeatureContext:
-    def test_length_matches_emitted(self):
-        state = state_of(1, 2, 3, 4)
-        ctx = FeatureContext.for_state(state)
-        assert len(ctx) == 4
-        assert all(len(vec) == len(ctx.vectors[0]) for vec in ctx.vectors)
-
-    def test_extend_appends_one_vector(self):
-        ctx = FeatureContext.for_state(state_of(1, 2))
-        extended = ctx.extend(3)
-        assert len(extended) == 3
-        assert extended.vectors[:2] == ctx.vectors
-
-    def test_matches_incremental_construction(self):
-        state = state_of(5, 6, 7)
-        assert FeatureContext.for_state(state) == (
-            FeatureContext.for_state(state_of(5, 6)).extend(7)
-        )
-
-    def test_verifier_features_align_with_state(self):
-        v = HashVerifier(seed=1)
-        state = state_of(9, 8, 7)
-        assert len(v.features(state)) == len(state.emitted)

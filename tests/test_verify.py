@@ -15,13 +15,27 @@ from specdec.verify import (
     verify_tree,
 )
 
-from helpers import chain_expected_accepted, chain_q, random_tree, reference_verify_path
+from helpers import (
+    ScriptedDraft,
+    ScriptedVerifier,
+    chain_expected_accepted,
+    chain_q,
+    random_tree,
+    reference_verify_path,
+)
 
 
 def models_for(seed, agreement_p=0.5, noise_sigma=6.0):
     verifier = HashVerifier(seed=seed)
     draft = make_noisy_draft(verifier, agreement_p=agreement_p, noise_sigma=noise_sigma)
     return verifier, draft
+
+
+class EmptyDraft:
+    """Draft model that never proposes anything."""
+
+    def propose_many(self, states, k):
+        return [[] for _ in states]
 
 
 class TestAcceptToken:
@@ -302,6 +316,30 @@ class TestDecodeEpisode:
             total_accepted += sum(o.accepted for o in outcomes)
         expected = chain_expected_accepted(chain_q(p, sigma, 256, 9), depth)
         assert total_accepted / total_steps == pytest.approx(expected, rel=0.05)
+
+    @pytest.mark.parametrize("token", [256, 300, -1])
+    def test_out_of_vocab_draft_token_is_structural_error(self, token):
+        # Bin 250 is within r=100 of 300, so relaxed acceptance alone would
+        # commit the out-of-vocabulary token.
+        verifier = ScriptedVerifier([250], vocab_size=256)
+        draft = ScriptedDraft([token], vocab_size=512)
+        params = TreeParams(top_k=1, max_depth=2, max_nodes=2)
+        with pytest.raises(TreeStructureError):
+            decode_episode(PrefixState(), verifier, draft, params, AcceptancePolicy.relaxed(100), 7)
+
+    def test_empty_draft_degrades_to_ar_steps(self):
+        verifier = HashVerifier(seed=46)
+        state = PrefixState(prompt_id="empty")
+        params = TreeParams(top_k=4, max_depth=3, max_nodes=20)
+        tokens, outcomes = decode_episode(
+            state, verifier, EmptyDraft(), params, AcceptancePolicy.strict(), 21
+        )
+        assert tokens == ar_decode(state, verifier, 21)
+        assert len(outcomes) == 21
+        for outcome in outcomes:
+            assert outcome.accepted == 0 and outcome.chosen_path == 0
+            assert outcome.emitted == outcome.reference and len(outcome.emitted) == 1
+            assert outcome.bonus_used and not outcome.correction_used
 
     def test_relaxed_soundness_on_policy(self):
         verifier, draft = models_for(44, agreement_p=0.4, noise_sigma=5.0)

@@ -22,7 +22,6 @@ from .draft_tree import (
     TreeStructureError,
     build_tree,
     enumerate_paths,
-    flatten,
 )
 from .harness import (
     CostModel,
@@ -91,7 +90,6 @@ __all__ = [
     "detokenize",
     "displacement_pmf",
     "enumerate_paths",
-    "flatten",
     "make_noisy_draft",
     "measure_speedup",
     "parse_config",

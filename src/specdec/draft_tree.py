@@ -1,4 +1,4 @@
-"""Dynamic draft tree: budgeted top-k expansion and flattening for verification.
+"""Dynamic draft tree: budgeted top-k expansion, validation and path enumeration.
 
 The tree grows level by level.  At each depth every surviving frontier node
 is expanded with the draft model's top-k proposals, then *all* nodes grown
@@ -10,15 +10,15 @@ parents, and the final node list doubles as a topological order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .models import DraftModel, PrefixState
 
 
 class TreeStructureError(ValueError):
-    """Raised for malformed trees: dangling parents, bad ordering, size mismatches."""
+    """Raised for malformed trees and draft proposals: dangling parents, bad
+    ordering, size mismatches, bad log-scores, duplicate sibling tokens."""
 
 
 ROOT = -1  # parent marker for first-level nodes
@@ -42,7 +42,7 @@ class TreeParams:
 @dataclass(frozen=True)
 class DraftNode:
     token: int
-    parent: int  # index into the flattened node list, ROOT for depth-1 nodes
+    parent: int  # index into the node list, ROOT for depth-1 nodes
     depth: int  # root children have depth 1
     cum_score: float  # sum of proposal log-scores along the root path
 
@@ -105,7 +105,15 @@ def build_tree(state: PrefixState, draft: DraftModel, params: TreeParams) -> Dra
         for path, props in zip(frontier, proposals):
             base = -selected[path][0] if path else 0.0
             for token, logp in props:
+                # The ranking needs finite log-scores <= 0 (a child never
+                # outranks its parent) and one candidate per token.
+                if not -math.inf < logp <= 0.0:
+                    raise TreeStructureError(
+                        f"draft log-score {logp} for token {token} is not finite and <= 0"
+                    )
                 child = path + (token,)
+                if child in selected:
+                    raise TreeStructureError(f"draft proposed token {token} twice under {path}")
                 selected[child] = (-(base + logp), depth, child)
 
         kept: dict[tuple[int, ...], tuple[float, int, tuple[int, ...]]] = {}
@@ -126,25 +134,6 @@ def build_tree(state: PrefixState, draft: DraftModel, params: TreeParams) -> Dra
         index_of[path] = len(nodes)
         nodes.append(DraftNode(token=path[-1], parent=parent, depth=d, cum_score=-neg_cum))
     return DraftTree(nodes=tuple(nodes), params=params)
-
-
-def flatten(tree: DraftTree) -> tuple[list[int], list[int], np.ndarray]:
-    """Flatten to ``(tokens, parents, ancestor_mask)`` for batched verification.
-
-    Row ``i`` of the boolean mask has bit ``j`` set iff node ``j`` lies on
-    node ``i``'s path to the root, itself included — the attention pattern a
-    tree-decoding verifier consumes.
-    """
-    tree.validate()
-    n = len(tree.nodes)
-    tokens = [node.token for node in tree.nodes]
-    parents = [node.parent for node in tree.nodes]
-    mask = np.zeros((n, n), dtype=bool)
-    for i, node in enumerate(tree.nodes):
-        if node.parent != ROOT:
-            mask[i] = mask[node.parent]
-        mask[i, i] = True
-    return tokens, parents, mask
 
 
 def enumerate_paths(tree: DraftTree) -> list[list[int]]:

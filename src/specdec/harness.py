@@ -176,8 +176,9 @@ def run_batch(config: RunConfig) -> list[EpisodeStats]:
         )
 
     if config.workers > 1:
-        # Models are immutable and queries are pure, so episodes can run on
-        # any number of threads; results keep job order.
+        # Queries are pure and the models' caches only ever miss under
+        # sharing, so episodes can run on any number of threads; results
+        # keep job order.
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             return list(pool.map(run_one, jobs))
     return [run_one(job) for job in jobs]

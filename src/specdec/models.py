@@ -21,6 +21,7 @@ import hashlib
 import struct
 import time
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
@@ -67,8 +68,10 @@ class Distribution:
         if total <= 0.0:
             raise ValueError("scores must have positive mass")
         scores = raw / total
-        # np.argmax returns the first maximizer: lowest bin ID wins ties.
-        return cls(scores=scores, argmax=int(np.argmax(scores)))
+        # Memoized distributions are shared between callers.
+        scores.flags.writeable = False
+        # argmax returns the first maximizer: lowest bin ID wins ties.
+        return cls(scores=scores, argmax=int(scores.argmax()))
 
 
 @dataclass(frozen=True)
@@ -101,17 +104,67 @@ class DraftModel(Protocol):
     ) -> list[list[tuple[int, float]]]: ...
 
 
-def _prefix_digest(seed: int, tag: bytes, prompt_id: str, observation_id: str,
-                   tokens: tuple[int, ...]) -> int:
-    h = hashlib.blake2b(digest_size=8)
-    h.update(tag)
-    h.update(struct.pack("<q", seed))
-    h.update(prompt_id.encode())
-    h.update(b"\x1f")
-    h.update(observation_id.encode())
-    h.update(b"\x1f")
-    h.update(array("H", tokens).tobytes())
+# Upper bound on the distributions ``HashVerifier`` keeps between batched
+# rounds.  ``ar_decode`` calls ``next`` without ever calling ``batch``, so
+# the memo would otherwise grow for a whole greedy decode; a default tree
+# step stores about 80.  A miss only costs a redraw, never a different result.
+MEMO_LIMIT = 256
+
+# The saved hasher state trails the query that moved it by this many tokens,
+# so the speculative tail of a draft-tree query is not baked into it, and it
+# moves again once a query runs more than twice this far past it.
+_TRAIL = 16
+
+
+def _encode(tokens: Sequence[int]) -> bytes:
+    return array("H", tokens).tobytes()
+
+
+def _digest(h: hashlib.blake2b) -> int:
     return int.from_bytes(h.digest(), "little")
+
+
+class PrefixHasher:
+    """8-byte blake2b of ``(tag, seed, prompt, observation, tokens)``, built incrementally.
+
+    The digest equals hashing the whole key from scratch.  The hasher saves
+    one blake2b state, for the last prefix it rebased on; a query that
+    extends that prefix for the same prompt and observation copies the state
+    and hashes only its tail, anything else is hashed from scratch.  Either
+    way a long tail moves the saved state forward, so consecutive decoding
+    steps cost O(tail) hashing, and the hasher holds one state however many
+    episodes it sees.  The saved state is replaced whole and never updated
+    in place, so threads may share a hasher.
+    """
+
+    def __init__(self, tag: bytes, seed: int):
+        self._head = tag + struct.pack("<q", seed)
+        self._saved: tuple[str, str, tuple[int, ...], hashlib.blake2b] | None = None
+
+    def hash_state(self, prompt_id: str, observation_id: str,
+                   tokens: tuple[int, ...]) -> hashlib.blake2b:
+        """A fresh blake2b object that has absorbed the key of ``tokens``."""
+        saved = self._saved
+        if (saved is not None and saved[0] == prompt_id and saved[1] == observation_id
+                and tokens[:len(saved[2])] == saved[2]):
+            start, h = len(saved[2]), saved[3].copy()
+        else:
+            start, saved = 0, None
+            h = hashlib.blake2b(
+                self._head + prompt_id.encode() + b"\x1f" + observation_id.encode() + b"\x1f",
+                digest_size=8,
+            )
+        tail = _encode(tokens[start:])
+        if saved is None or len(tokens) - start > 2 * _TRAIL:
+            cut = 2 * max(len(tokens) - _TRAIL - start, 0)
+            h.update(tail[:cut])
+            self._saved = (prompt_id, observation_id, tokens[:start + cut // 2], h.copy())
+            tail = tail[cut:]
+        h.update(tail)
+        return h
+
+    def digest(self, prompt_id: str, observation_id: str, tokens: tuple[int, ...]) -> int:
+        return _digest(self.hash_state(prompt_id, observation_id, tokens))
 
 
 class HashVerifier:
@@ -129,28 +182,43 @@ class HashVerifier:
             raise ValueError(f"vocab_size must be in [2, {MAX_VOCAB_SIZE}]")
         self.vocab_size = int(vocab_size)
         self.seed = int(seed)
+        self._hasher = PrefixHasher(b"verifier", self.seed)
+        # Prefix digest -> distribution scored by ``next`` since the last
+        # batched round, which the round reads instead of drawing again.
+        self._memo: dict[int, Distribution] = {}
 
-    def _distribution(self, prompt_id: str, observation_id: str,
-                      tokens: tuple[int, ...]) -> Distribution:
-        key = _prefix_digest(self.seed, b"verifier", prompt_id, observation_id, tokens)
+    def _draw(self, key: int) -> Distribution:
         rng = np.random.Generator(np.random.PCG64(key))
         return Distribution.from_scores(rng.random(self.vocab_size))
 
     def next(self, state: PrefixState) -> Distribution:
-        return self._distribution(state.prompt_id, state.observation_id, state.emitted)
+        key = self._hasher.digest(state.prompt_id, state.observation_id, state.emitted)
+        memo = self._memo
+        dist = memo.get(key)
+        if dist is None:
+            if len(memo) >= MEMO_LIMIT:
+                memo.clear()
+            dist = memo[key] = self._draw(key)
+        return dist
 
     def batch(self, state: PrefixState, tree: DraftTree) -> TreeDistributions:
         tree.validate()
-        root = self.next(state)
-        # Nodes are stored parents-first, so each path extends an earlier one.
-        paths: list[tuple[int, ...]] = []
+        # The memo serves the overlap between one step's draft queries and
+        # its batched round; dropping it here keeps stale prefixes from
+        # piling up across steps.
+        memo, self._memo = self._memo, {}
+        root = self._hasher.hash_state(state.prompt_id, state.observation_id, state.emitted)
+        # Nodes are stored parents-first, so each node's hasher extends an earlier one.
+        hashers: list[hashlib.blake2b] = []
         dists: list[Distribution] = []
         for node in tree.nodes:
-            base = state.emitted if node.parent < 0 else paths[node.parent]
-            path = base + (node.token,)
-            paths.append(path)
-            dists.append(self._distribution(state.prompt_id, state.observation_id, path))
-        return TreeDistributions(root=root, nodes=dists)
+            h = (root if node.parent < 0 else hashers[node.parent]).copy()
+            h.update(_encode((node.token,)))
+            hashers.append(h)
+            key = _digest(h)
+            dists.append(memo.get(key) or self._draw(key))
+        key = _digest(root)
+        return TreeDistributions(root=memo.get(key) or self._draw(key), nodes=dists)
 
 
 def displacement_pmf(noise_sigma: float, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -205,27 +273,30 @@ class NoisyDraft:
         self.noise_sigma = float(noise_sigma)
         self.seed = int(seed)
         offsets, probs = displacement_pmf(self.noise_sigma, self.vocab_size)
-        self._offsets = offsets
-        self._cdf = np.cumsum(probs)
+        # Plain lists: ``_center`` reads one entry per query, and numpy's
+        # scalar dispatch would cost more than the lookup.
+        self._offsets = offsets.tolist()
+        self._cdf = np.cumsum(probs).tolist()
+        self._agree = PrefixHasher(b"agree", self.seed)
+        self._displace = PrefixHasher(b"displace", self.seed)
         # Proposal-score kernel magnitudes, shared across centers.
         mags = np.arange(self.vocab_size, dtype=np.float64)
         self._kernel = np.exp(-(mags**2) / (2.0 * proposal_sigma**2)) + 1e-12
         # The ranking depends only on (center, k): at most V entries per k.
         self._ranked_by_center: dict[tuple[int, int], list[tuple[int, float]]] = {}
 
-    def _uniform(self, tag: bytes, state: PrefixState) -> float:
-        key = _prefix_digest(self.seed, tag, state.prompt_id, state.observation_id, state.emitted)
-        return key / 2.0**64
+    @staticmethod
+    def _uniform(hasher: PrefixHasher, state: PrefixState) -> float:
+        return hasher.digest(state.prompt_id, state.observation_id, state.emitted) / 2.0**64
 
     def _center(self, state: PrefixState) -> int:
         """Top-1 proposal for this prefix: verifier argmax, possibly displaced."""
         target = self.verifier.next(state).argmax
-        if self._uniform(b"agree", state) < self.agreement_p:
+        if self._uniform(self._agree, state) < self.agreement_p:
             return target
-        u = self._uniform(b"displace", state)
-        idx = min(int(np.searchsorted(self._cdf, u, side="right")), len(self._offsets) - 1)
-        offset = int(self._offsets[idx])
-        return int(np.clip(target + offset, 0, self.vocab_size - 1))
+        u = self._uniform(self._displace, state)
+        idx = min(bisect_right(self._cdf, u), len(self._offsets) - 1)
+        return min(max(target + self._offsets[idx], 0), self.vocab_size - 1)
 
     def _ranked(self, center: int, k: int) -> list[tuple[int, float]]:
         """Top-``k`` ``(bin, log-score)`` proposals around ``center``, best first."""

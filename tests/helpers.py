@@ -111,15 +111,6 @@ def random_tree(rng: np.random.Generator, max_nodes=50, max_depth=4,
     return DraftTree(nodes=tuple(nodes), params=params)
 
 
-def ancestors_by_pointer_walk(tree: DraftTree, index: int) -> list[int]:
-    """Reference ancestor chain (self included), via raw parent pointers."""
-    chain = []
-    while index != ROOT:
-        chain.append(index)
-        index = tree.nodes[index].parent
-    return list(reversed(chain))
-
-
 def reference_verify_path(path_tokens, verified, r_for_dim, start_position):
     """Independent linear scan: first failure index and the verifier token.
 

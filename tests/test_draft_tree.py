@@ -1,4 +1,4 @@
-"""Draft tree construction, budget pruning, flattening, and path enumeration."""
+"""Draft tree construction, budget pruning, validation, and path enumeration."""
 
 import numpy as np
 import pytest
@@ -11,11 +11,10 @@ from specdec.draft_tree import (
     TreeStructureError,
     build_tree,
     enumerate_paths,
-    flatten,
 )
 from specdec.models import HashVerifier, PrefixState, make_noisy_draft
 
-from helpers import ancestors_by_pointer_walk, random_tree
+from helpers import random_tree
 
 
 def models_for(seed, agreement_p=0.5, noise_sigma=6.0):
@@ -138,42 +137,48 @@ class TestBuildTree:
             TreeParams(max_nodes=0)
 
 
-class TestFlatten:
-    def _chain(self, tokens):
-        nodes = [
-            DraftNode(token=t, parent=i - 1 if i else ROOT, depth=i + 1, cum_score=-0.1 * (i + 1))
-            for i, t in enumerate(tokens)
-        ]
-        return DraftTree(nodes=tuple(nodes), params=TreeParams(top_k=1, max_depth=len(tokens), max_nodes=50))
+class FixedDraft:
+    """Proposes the same ``(token, log-score)`` list for every state."""
 
-    def test_chain_gives_causal_mask(self):
-        tokens, parents, mask = flatten(self._chain([10, 20, 30]))
-        assert tokens == [10, 20, 30]
-        assert parents == [ROOT, 0, 1]
-        expected = np.tril(np.ones((3, 3), dtype=bool))
-        assert (mask == expected).all()
+    def __init__(self, proposals):
+        self.proposals = proposals
 
-    def test_siblings_are_not_ancestors(self):
-        nodes = (
-            DraftNode(token=5, parent=ROOT, depth=1, cum_score=-0.1),
-            DraftNode(token=1, parent=0, depth=2, cum_score=-0.3),
-            DraftNode(token=2, parent=0, depth=2, cum_score=-0.4),
-        )
-        tree = DraftTree(nodes=nodes, params=TreeParams(top_k=2, max_depth=2, max_nodes=50))
-        _, _, mask = flatten(tree)
-        assert mask[1].tolist() == [True, True, False]
-        assert mask[2].tolist() == [True, False, True]
+    def propose_many(self, states, k):
+        return [list(self.proposals[:k]) for _ in states]
 
-    def test_mask_rows_match_pointer_walk(self):
-        rng = np.random.default_rng(2)
-        for _ in range(60):
-            tree = random_tree(rng, max_nodes=50)
-            _, _, mask = flatten(tree)
-            for i in range(len(tree.nodes)):
-                expected = np.zeros(len(tree.nodes), dtype=bool)
-                expected[ancestors_by_pointer_walk(tree, i)] = True
-                assert (mask[i] == expected).all()
 
+class TestBadProposals:
+    PARAMS = TreeParams(top_k=3, max_depth=3, max_nodes=5)
+
+    @pytest.mark.parametrize(
+        "proposals",
+        [
+            # Unchecked, children outrank their parents and the tree
+            # silently shrinks to 2 of its 5 budgeted nodes.
+            [(10, 0.3), (11, 0.2), (12, 0.1)],
+            [(10, -0.1), (11, float("nan")), (12, -0.3)],
+            [(10, -0.1), (11, float("inf")), (12, -0.3)],
+            [(10, -0.1), (11, float("-inf")), (12, -0.3)],
+        ],
+        ids=["positive", "nan", "inf", "-inf"],
+    )
+    def test_non_finite_or_positive_log_score_rejected(self, proposals):
+        with pytest.raises(TreeStructureError, match="log-score"):
+            build_tree(PrefixState(), FixedDraft(proposals), self.PARAMS)
+
+    def test_duplicate_token_under_one_parent_rejected(self):
+        draft = FixedDraft([(10, -0.1), (10, -0.2), (12, -0.3)])
+        with pytest.raises(TreeStructureError, match="twice"):
+            build_tree(PrefixState(), draft, self.PARAMS)
+
+    def test_zero_log_score_accepted(self):
+        draft = FixedDraft([(10, 0.0), (11, -0.2), (12, -0.3)])
+        tree = build_tree(PrefixState(), draft, self.PARAMS)
+        tree.validate()
+        assert len(tree.nodes) == 5
+
+
+class TestValidate:
     def test_dangling_parent_rejected(self):
         nodes = (
             DraftNode(token=5, parent=ROOT, depth=1, cum_score=-0.1),
@@ -181,7 +186,7 @@ class TestFlatten:
         )
         tree = DraftTree(nodes=nodes, params=TreeParams(top_k=2, max_depth=2, max_nodes=50))
         with pytest.raises(TreeStructureError):
-            flatten(tree)
+            tree.validate()
 
     def test_duplicate_sibling_tokens_rejected(self):
         nodes = (

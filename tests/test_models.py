@@ -1,23 +1,82 @@
 """Synthetic verifier and draft model contracts."""
 
+import hashlib
+import struct
+import sys
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specdec.draft_tree import TreeParams, build_tree
 from specdec.models import (
+    _TRAIL,
+    MEMO_LIMIT,
     HashVerifier,
+    PrefixHasher,
     PrefixState,
     displacement_pmf,
     make_noisy_draft,
 )
+from specdec.verify import AcceptancePolicy, decode_episode
 
 from helpers import chain_q, random_tree
 
 
 def state_of(*tokens, prompt="p", obs="o") -> PrefixState:
     return PrefixState(prompt_id=prompt, observation_id=obs, emitted=tuple(tokens))
+
+
+def scratch_digest(seed, tag, prompt_id, observation_id, tokens):
+    """Reference: the whole key hashed from scratch, as a fresh model would."""
+    h = hashlib.blake2b(digest_size=8)
+    h.update(tag)
+    h.update(struct.pack("<q", seed))
+    h.update(prompt_id.encode())
+    h.update(b"\x1f")
+    h.update(observation_id.encode())
+    h.update(b"\x1f")
+    h.update(array("H", tokens).tobytes())
+    return int.from_bytes(h.digest(), "little")
+
+
+class TestPrefixHasher:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        base=st.lists(st.integers(0, 65535), max_size=5 * _TRAIL),
+        calls=st.lists(
+            st.tuples(
+                st.sampled_from(["p", "q"]),  # prompt switches
+                st.sampled_from(["o", "o2"]),  # observation switches
+                st.integers(0, 5 * _TRAIL),  # shared prefix: grows, shrinks, jumps
+                st.lists(st.integers(0, 65535), max_size=3 * _TRAIL),  # diverging tail
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+    )
+    def test_incremental_digest_equals_from_scratch(self, base, calls):
+        hasher = PrefixHasher(b"verifier", 7)
+        for prompt, obs, shared, tail in calls:
+            tokens = tuple(base[:shared] + tail)
+            expected = scratch_digest(7, b"verifier", prompt, obs, tokens)
+            assert hasher.digest(prompt, obs, tokens) == expected
+
+    def test_decode_order_rebases_and_stays_exact(self):
+        # A committed prefix growing a few tokens per step, with speculative
+        # queries past it, as one decode issues them.
+        hasher = PrefixHasher(b"agree", 3)
+        committed: tuple[int, ...] = ()
+        for step in range(60):
+            for depth in range(4):
+                tokens = committed + tuple(range(step, step + depth))
+                assert hasher.digest("p", "o", tokens) == scratch_digest(3, b"agree", "p", "o", tokens)
+            committed += (step % 256, (7 * step) % 256, 5)
+        # The saved state kept up with the committed prefix.
+        assert len(committed) - len(hasher._saved[2]) <= 3 * _TRAIL
 
 
 class TestHashVerifier:
@@ -121,6 +180,82 @@ class TestVerifierBatch:
             results = list(pool.map(lambda _: v.batch(state, tree), range(16)))
         for result in results:
             assert [d.argmax for d in result.nodes] == expected
+
+    def test_shared_models_decode_like_private_ones_across_threads(self):
+        params = TreeParams(top_k=3, max_depth=3, max_nodes=12)
+        policy = AcceptancePolicy.relaxed(3)
+        # Prefixes longer than the hasher's rebase distance, one per thread.
+        states = [state_of(*range(i, i + 3 * _TRAIL), prompt=f"t{i}") for i in range(8)]
+
+        def decode(verifier, draft, state):
+            return decode_episode(state, verifier, draft, params, policy, 40)
+
+        def private(state):
+            verifier = HashVerifier(seed=8)
+            return decode(verifier, make_noisy_draft(verifier, 0.5, 6.0), state)
+
+        expected = [private(s) for s in states]
+        verifier = HashVerifier(seed=8)
+        draft = make_noisy_draft(verifier, 0.5, 6.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(decode, verifier, draft, s) for s in states * 2]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == expected * 2
+
+
+class TestVerifierMemo:
+    def test_one_decode_step_draws_each_distinct_prefix_once(self, monkeypatch):
+        state = state_of(1, 2, 3)
+        params = TreeParams()  # the default tree
+
+        class Recording:
+            """The draft's verifier: records every prefix the draft scores."""
+
+            def __init__(self, inner):
+                self.inner, self.vocab_size, self.prefixes = inner, inner.vocab_size, []
+
+            def next(self, s):
+                self.prefixes.append(s.emitted)
+                return self.inner.next(s)
+
+        recording = Recording(HashVerifier(seed=4))
+        tree = build_tree(state, make_noisy_draft(recording, 0.5, 6.0), params)
+        prefixes = {state.emitted, *recording.prefixes}
+        prefixes.update(state.emitted + tree.token_path(i) for i in range(len(tree.nodes)))
+
+        seeds = []
+        pcg64 = np.random.PCG64
+        monkeypatch.setattr(np.random, "PCG64", lambda seed: seeds.append(seed) or pcg64(seed))
+        verifier = HashVerifier(seed=4)
+        draft = make_noisy_draft(verifier, 0.5, 6.0)
+        _, outcomes = decode_episode(state, verifier, draft, params, AcceptancePolicy.strict(), 1)
+        assert len(outcomes) == 1
+        assert len(seeds) == len(set(seeds)) == len(prefixes) > len(tree.nodes)
+
+    def test_memoized_scores_are_read_only(self):
+        v = HashVerifier(seed=6)
+        state = state_of(1, 2)
+        tree = build_tree(state, make_noisy_draft(v, 0.5, 6.0), TreeParams(top_k=2, max_depth=2))
+        first = v.next(state)
+        result = v.batch(state, tree)
+        assert result.root is first  # served from the memo
+        for dist in [result.root, *result.nodes]:
+            assert not dist.scores.flags.writeable
+            with pytest.raises(ValueError):
+                dist.scores[0] = 1.0
+
+    def test_memo_is_bounded_without_batched_rounds(self):
+        v = HashVerifier(seed=6)
+        state = state_of()
+        for token in range(3 * MEMO_LIMIT):
+            v.next(state)
+            state = state.extend(token % 256)
+        assert len(v._memo) <= MEMO_LIMIT
 
 
 class TestNoisyDraft:

@@ -92,14 +92,17 @@ def build_tree(state: PrefixState, draft: DraftModel, params: TreeParams) -> Dra
     # Each candidate is stored as its rank key (-cum_score, depth, path): best
     # score first, then shallower, then lexicographic token path.  Fully
     # structural, so builds and oracles agree on ties.  Survivors are
-    # re-selected from the full pool after every level.
+    # re-selected from the full pool after every level.  Log-scores are
+    # checked finite and <= 0, so a child's key sorts after its parent's and
+    # every prefix of the ranking is closed under parents.
     selected: dict[tuple[int, ...], tuple[float, int, tuple[int, ...]]] = {}
     frontier: list[tuple[int, ...]] = [()]  # paths to expand next, root first
 
     for depth in range(1, params.max_depth + 1):
         if not frontier:
             break
-        states = [state.extend_many(path) for path in frontier]
+        # Every tree state is one link from ``state`` in its digest chain.
+        states = [state.extend_many(path) if path else state for path in frontier]
         proposals = draft.propose_many(states, params.top_k)
 
         for path, props in zip(frontier, proposals):
@@ -116,15 +119,8 @@ def build_tree(state: PrefixState, draft: DraftModel, params: TreeParams) -> Dra
                     raise TreeStructureError(f"draft proposed token {token} twice under {path}")
                 selected[child] = (-(base + logp), depth, child)
 
-        kept: dict[tuple[int, ...], tuple[float, int, tuple[int, ...]]] = {}
-        for key in sorted(selected.values()):
-            if len(kept) == params.max_nodes:
-                break
-            path = key[2]
-            if len(path) > 1 and path[:-1] not in kept:
-                continue  # parent lost the budget race; drop the subtree
-            kept[path] = key
-        selected = kept  # in rank order, which the node list keeps
+        # In rank order, which the node list keeps.
+        selected = {key[2]: key for key in sorted(selected.values())[: params.max_nodes]}
         frontier = [path for path in selected if len(path) == depth]
 
     index_of: dict[tuple[int, ...], int] = {}

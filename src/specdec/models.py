@@ -22,7 +22,7 @@ import struct
 import time
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -34,44 +34,145 @@ if TYPE_CHECKING:
 MAX_VOCAB_SIZE = 65535
 
 
+def _encode(tokens: Sequence[int]) -> bytes:
+    return array("H", tokens).tobytes()
+
+
+def _digest(h: hashlib.blake2b) -> int:
+    return int.from_bytes(h.digest(), "little")
+
+
+def _stream_head(tag: bytes, seed: int) -> bytes:
+    """Key prefix of one digest stream: each model draws from its own streams."""
+    return tag + struct.pack("<q", seed)
+
+
+class _Link:
+    """One state's link in a digest chain.
+
+    ``tokens`` are the tokens the state added to its parent's prefix (a
+    chain's root holds its whole prefix).  ``saved`` maps a stream head to
+    the blake2b state that has absorbed this state's key; it is shared, so
+    it is copied before it is updated, never updated in place.  A link holds
+    no ``PrefixState`` and, below the root, no whole prefix, so a long chain
+    keeps alive each step's new tokens and hash states, not a prefix copy
+    per step.
+    """
+
+    __slots__ = ("parent", "tokens", "saved")
+
+    def __init__(self, parent: _Link | None, tokens: tuple[int, ...]):
+        self.parent = parent
+        self.tokens = tokens
+        self.saved: dict[bytes, hashlib.blake2b] = {}
+
+
 @dataclass(frozen=True)
 class PrefixState:
-    """Decoding context: which episode we are in and what was emitted so far."""
+    """Decoding context: which episode we are in and what was emitted so far.
+
+    ``extend`` and ``extend_many`` link the new state to this one, so the
+    synthetic models hash a state by extending its parent's digest with the
+    new tokens only.  The link is not part of the value: equality, hashing,
+    ``repr`` and ``dataclasses.replace`` ignore it, and a pickled or copied
+    state starts a new chain.
+    """
 
     prompt_id: str = "p0"
     observation_id: str = "o0"
     emitted: tuple[int, ...] = ()
+    _link: _Link = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # A state built directly roots a chain; ``_child`` relinks its own.
+        object.__setattr__(self, "_link", _Link(None, self.emitted))
+
+    def __reduce__(self):
+        # blake2b states do not pickle, so a copy is rebuilt from the fields.
+        return (PrefixState, (self.prompt_id, self.observation_id, self.emitted))
 
     @property
     def position(self) -> int:
         return len(self.emitted)
 
     def extend(self, token: int) -> PrefixState:
-        return PrefixState(self.prompt_id, self.observation_id, self.emitted + (int(token),))
+        return self._child((int(token),))
 
     def extend_many(self, tokens: Sequence[int]) -> PrefixState:
-        return PrefixState(
-            self.prompt_id, self.observation_id, self.emitted + tuple(int(t) for t in tokens)
-        )
+        return self._child(tuple(int(t) for t in tokens))
+
+    def _child(self, tokens: tuple[int, ...]) -> PrefixState:
+        child = PrefixState(self.prompt_id, self.observation_id, self.emitted + tokens)
+        object.__setattr__(child, "_link", _Link(self._link, tokens))
+        return child
+
+    def _hash_state(self, head: bytes) -> hashlib.blake2b:
+        """blake2b (8-byte digest) of ``head``, prompt, observation and ``emitted``.
+
+        Equals hashing ``head + prompt + 0x1f + observation + 0x1f`` and the
+        tokens as uint16 from scratch.  The walk back to the nearest link
+        that saved ``head`` is a loop, not recursion, so a head first asked
+        for deep in a chain cannot overflow the stack; only tokens added
+        since that link are hashed, and the result is saved on this link.
+        The returned object is shared: copy it before updating it.
+        """
+        h = self._link.saved.get(head)
+        if h is not None:
+            return h
+        link, tails = self._link, []
+        while h is None:
+            tails.append(link.tokens)
+            link = link.parent
+            if link is None:
+                h = hashlib.blake2b(
+                    head + self.prompt_id.encode() + b"\x1f" + self.observation_id.encode()
+                    + b"\x1f",
+                    digest_size=8,
+                )
+            elif (saved := link.saved.get(head)) is not None:
+                h = saved.copy()
+        for tokens in reversed(tails):
+            h.update(_encode(tokens))
+        self._link.saved[head] = h
+        return h
 
 
-@dataclass(frozen=True)
 class Distribution:
-    """Normalized scores over the action vocabulary plus their argmax."""
+    """Normalized scores over the action vocabulary plus their argmax.
 
-    scores: np.ndarray
-    argmax: int
+    ``from_scores`` keeps the raw scores and normalizes them on the first
+    read of ``scores``: the engine itself reads only ``argmax``.
+    """
+
+    __slots__ = ("argmax", "_raw", "_scores")
+
+    def __init__(self, scores: np.ndarray, argmax: int):
+        self.argmax = argmax
+        self._raw: np.ndarray | None = None
+        self._scores: np.ndarray | None = scores
 
     @classmethod
     def from_scores(cls, raw: np.ndarray) -> Distribution:
-        total = float(raw.sum())
-        if total <= 0.0:
+        total = raw.sum()
+        if not total > 0.0:
             raise ValueError("scores must have positive mass")
-        scores = raw / total
-        # Memoized distributions are shared between callers.
-        scores.flags.writeable = False
-        # argmax returns the first maximizer: lowest bin ID wins ties.
-        return cls(scores=scores, argmax=int(scores.argmax()))
+        # The argmax of the normalized scores, not of ``raw``: two raw
+        # maxima can round to one value when divided.  argmax returns the
+        # first maximizer, so the lowest bin ID wins ties.
+        dist = cls.__new__(cls)
+        dist.argmax = int((raw / total).argmax())
+        dist._raw, dist._scores = raw, None
+        return dist
+
+    @property
+    def scores(self) -> np.ndarray:
+        scores = self._scores
+        if scores is None:
+            scores = self._raw / self._raw.sum()
+            # Memoized distributions are shared between callers.
+            scores.flags.writeable = False
+            self._scores = scores
+        return scores
 
 
 @dataclass(frozen=True)
@@ -110,62 +211,6 @@ class DraftModel(Protocol):
 # step stores about 80.  A miss only costs a redraw, never a different result.
 MEMO_LIMIT = 256
 
-# The saved hasher state trails the query that moved it by this many tokens,
-# so the speculative tail of a draft-tree query is not baked into it, and it
-# moves again once a query runs more than twice this far past it.
-_TRAIL = 16
-
-
-def _encode(tokens: Sequence[int]) -> bytes:
-    return array("H", tokens).tobytes()
-
-
-def _digest(h: hashlib.blake2b) -> int:
-    return int.from_bytes(h.digest(), "little")
-
-
-class PrefixHasher:
-    """8-byte blake2b of ``(tag, seed, prompt, observation, tokens)``, built incrementally.
-
-    The digest equals hashing the whole key from scratch.  The hasher saves
-    one blake2b state, for the last prefix it rebased on; a query that
-    extends that prefix for the same prompt and observation copies the state
-    and hashes only its tail, anything else is hashed from scratch.  Either
-    way a long tail moves the saved state forward, so consecutive decoding
-    steps cost O(tail) hashing, and the hasher holds one state however many
-    episodes it sees.  The saved state is replaced whole and never updated
-    in place, so threads may share a hasher.
-    """
-
-    def __init__(self, tag: bytes, seed: int):
-        self._head = tag + struct.pack("<q", seed)
-        self._saved: tuple[str, str, tuple[int, ...], hashlib.blake2b] | None = None
-
-    def hash_state(self, prompt_id: str, observation_id: str,
-                   tokens: tuple[int, ...]) -> hashlib.blake2b:
-        """A fresh blake2b object that has absorbed the key of ``tokens``."""
-        saved = self._saved
-        if (saved is not None and saved[0] == prompt_id and saved[1] == observation_id
-                and tokens[:len(saved[2])] == saved[2]):
-            start, h = len(saved[2]), saved[3].copy()
-        else:
-            start, saved = 0, None
-            h = hashlib.blake2b(
-                self._head + prompt_id.encode() + b"\x1f" + observation_id.encode() + b"\x1f",
-                digest_size=8,
-            )
-        tail = _encode(tokens[start:])
-        if saved is None or len(tokens) - start > 2 * _TRAIL:
-            cut = 2 * max(len(tokens) - _TRAIL - start, 0)
-            h.update(tail[:cut])
-            self._saved = (prompt_id, observation_id, tokens[:start + cut // 2], h.copy())
-            tail = tail[cut:]
-        h.update(tail)
-        return h
-
-    def digest(self, prompt_id: str, observation_id: str, tokens: tuple[int, ...]) -> int:
-        return _digest(self.hash_state(prompt_id, observation_id, tokens))
-
 
 class HashVerifier:
     """Deterministic tabular verifier: scores drawn from a hash of the prefix.
@@ -182,7 +227,7 @@ class HashVerifier:
             raise ValueError(f"vocab_size must be in [2, {MAX_VOCAB_SIZE}]")
         self.vocab_size = int(vocab_size)
         self.seed = int(seed)
-        self._hasher = PrefixHasher(b"verifier", self.seed)
+        self._head = _stream_head(b"verifier", self.seed)
         # Prefix digest -> distribution scored by ``next`` since the last
         # batched round, which the round reads instead of drawing again.
         self._memo: dict[int, Distribution] = {}
@@ -192,7 +237,7 @@ class HashVerifier:
         return Distribution.from_scores(rng.random(self.vocab_size))
 
     def next(self, state: PrefixState) -> Distribution:
-        key = self._hasher.digest(state.prompt_id, state.observation_id, state.emitted)
+        key = _digest(state._hash_state(self._head))
         memo = self._memo
         dist = memo.get(key)
         if dist is None:
@@ -207,7 +252,7 @@ class HashVerifier:
         # its batched round; dropping it here keeps stale prefixes from
         # piling up across steps.
         memo, self._memo = self._memo, {}
-        root = self._hasher.hash_state(state.prompt_id, state.observation_id, state.emitted)
+        root = state._hash_state(self._head)
         # Nodes are stored parents-first, so each node's hasher extends an earlier one.
         hashers: list[hashlib.blake2b] = []
         dists: list[Distribution] = []
@@ -277,8 +322,8 @@ class NoisyDraft:
         # scalar dispatch would cost more than the lookup.
         self._offsets = offsets.tolist()
         self._cdf = np.cumsum(probs).tolist()
-        self._agree = PrefixHasher(b"agree", self.seed)
-        self._displace = PrefixHasher(b"displace", self.seed)
+        self._agree = _stream_head(b"agree", self.seed)
+        self._displace = _stream_head(b"displace", self.seed)
         # Proposal-score kernel magnitudes, shared across centers.
         mags = np.arange(self.vocab_size, dtype=np.float64)
         self._kernel = np.exp(-(mags**2) / (2.0 * proposal_sigma**2)) + 1e-12
@@ -286,8 +331,8 @@ class NoisyDraft:
         self._ranked_by_center: dict[tuple[int, int], list[tuple[int, float]]] = {}
 
     @staticmethod
-    def _uniform(hasher: PrefixHasher, state: PrefixState) -> float:
-        return hasher.digest(state.prompt_id, state.observation_id, state.emitted) / 2.0**64
+    def _uniform(head: bytes, state: PrefixState) -> float:
+        return _digest(state._hash_state(head)) / 2.0**64
 
     def _center(self, state: PrefixState) -> int:
         """Top-1 proposal for this prefix: verifier argmax, possibly displaced."""

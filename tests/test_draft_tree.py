@@ -52,6 +52,23 @@ def exhaustive_rerank_oracle(state, draft, params):
     return kept
 
 
+class TiedDraft:
+    """Proposes log-scores from {0.0, -0.5, -1.0}, so ranks tie often; each
+    prefix always gets the same proposals."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def propose_many(self, states, k):
+        proposals = []
+        for state in states:
+            rng = np.random.default_rng([self.seed, *state.emitted])
+            tokens = rng.choice(6, size=min(k, 6), replace=False)
+            scores = sorted(rng.choice([0.0, -0.5, -1.0], size=len(tokens)), reverse=True)
+            proposals.append([(int(t), float(s)) for t, s in zip(tokens, scores)])
+        return proposals
+
+
 class TestBuildTree:
     def test_single_level_is_draft_top_k(self):
         verifier, draft = models_for(1)
@@ -72,6 +89,22 @@ class TestBuildTree:
         tree.validate()
 
     def test_matches_exhaustive_rerank_oracle(self):
+        def check(state, draft, params):
+            tree = build_tree(state, draft, params)
+            tree.validate()
+            kept = exhaustive_rerank_oracle(state, draft, params)
+            built = {tree.token_path(i): tree.nodes[i].cum_score for i in range(len(tree.nodes))}
+            assert set(built) == set(kept)
+            for path, cum in built.items():
+                assert cum == pytest.approx(kept[path], rel=1e-12)
+
+        def random_params():
+            return TreeParams(
+                top_k=int(rng.integers(1, 5)),
+                max_depth=int(rng.integers(1, 5)),
+                max_nodes=int(rng.integers(1, 21)),
+            )
+
         rng = np.random.default_rng(0)
         for trial in range(400):
             verifier, draft = models_for(
@@ -79,23 +112,15 @@ class TestBuildTree:
                 agreement_p=float(rng.uniform(0, 1)),
                 noise_sigma=float(rng.uniform(0.5, 8.0)),
             )
-            params = TreeParams(
-                top_k=int(rng.integers(1, 5)),
-                max_depth=int(rng.integers(1, 5)),
-                max_nodes=int(rng.integers(1, 21)),
-            )
+            params = random_params()
             state = PrefixState(
                 prompt_id=f"t{trial}",
                 emitted=tuple(int(t) for t in rng.integers(0, 256, size=rng.integers(0, 3))),
             )
-            tree = build_tree(state, draft, params)
-            tree.validate()
-
-            kept = exhaustive_rerank_oracle(state, draft, params)
-            built = {tree.token_path(i): tree.nodes[i].cum_score for i in range(len(tree.nodes))}
-            assert set(built) == set(kept)
-            for path, cum in built.items():
-                assert cum == pytest.approx(kept[path], rel=1e-12)
+            check(state, draft, params)
+        # Ties everywhere: children as good as their parents, equal siblings.
+        for trial in range(200):
+            check(PrefixState(prompt_id=f"tie{trial}"), TiedDraft(trial), random_params())
 
     def test_budget_respected_under_fuzzing(self):
         rng = np.random.default_rng(1)

@@ -1,6 +1,9 @@
 """Synthetic verifier and draft model contracts."""
 
+import copy
+import dataclasses
 import hashlib
+import pickle
 import struct
 import sys
 from array import array
@@ -13,10 +16,9 @@ from hypothesis import strategies as st
 
 from specdec.draft_tree import TreeParams, build_tree
 from specdec.models import (
-    _TRAIL,
     MEMO_LIMIT,
+    Distribution,
     HashVerifier,
-    PrefixHasher,
     PrefixState,
     displacement_pmf,
     make_noisy_draft,
@@ -43,40 +45,95 @@ def scratch_digest(seed, tag, prompt_id, observation_id, tokens):
     return int.from_bytes(h.digest(), "little")
 
 
-class TestPrefixHasher:
+def chain_digest(state, tag, seed):
+    return int.from_bytes(state._hash_state(tag + struct.pack("<q", seed)).digest(), "little")
+
+
+HEADS = [(b"verifier", 7), (b"agree", 7), (b"displace", 3)]
+
+
+class TestDigestChain:
     @settings(max_examples=300, deadline=None)
     @given(
-        base=st.lists(st.integers(0, 65535), max_size=5 * _TRAIL),
-        calls=st.lists(
+        roots=st.lists(
             st.tuples(
-                st.sampled_from(["p", "q"]),  # prompt switches
-                st.sampled_from(["o", "o2"]),  # observation switches
-                st.integers(0, 5 * _TRAIL),  # shared prefix: grows, shrinks, jumps
-                st.lists(st.integers(0, 65535), max_size=3 * _TRAIL),  # diverging tail
+                st.sampled_from(["p", "q"]),
+                st.sampled_from(["o", "o2"]),
+                st.lists(st.integers(0, 65535), max_size=20),
             ),
             min_size=1,
-            max_size=25,
+            max_size=3,
+        ),
+        ops=st.lists(
+            st.tuples(
+                # How the next state is made from an earlier one: linked to
+                # it, or built directly or by ``replace`` with the same value.
+                st.sampled_from(["extend", "extend_many", "direct", "replace"]),
+                st.integers(0, 1000),  # which earlier state; repeats make siblings
+                st.lists(st.integers(0, 65535), max_size=6),
+                st.sampled_from([None, *range(len(HEADS))]),  # head queried at once, if any
+            ),
+            max_size=40,
         ),
     )
-    def test_incremental_digest_equals_from_scratch(self, base, calls):
-        hasher = PrefixHasher(b"verifier", 7)
-        for prompt, obs, shared, tail in calls:
-            tokens = tuple(base[:shared] + tail)
-            expected = scratch_digest(7, b"verifier", prompt, obs, tokens)
-            assert hasher.digest(prompt, obs, tokens) == expected
+    def test_chain_digest_equals_from_scratch(self, roots, ops):
+        states = [state_of(*tokens, prompt=p, obs=o) for p, o, tokens in roots]
+        for kind, pick, tokens, head in ops:
+            base = states[pick % len(states)]
+            if kind == "extend":
+                new = base.extend(tokens[0] if tokens else 0)
+            elif kind == "extend_many":
+                new = base.extend_many(tokens)
+            elif kind == "direct":
+                new = PrefixState(base.prompt_id, base.observation_id, base.emitted + tuple(tokens))
+            else:
+                new = dataclasses.replace(base, emitted=base.emitted + tuple(tokens))
+            if head is not None:
+                tag, seed = HEADS[head]
+                assert chain_digest(new, tag, seed) == scratch_digest(
+                    seed, tag, new.prompt_id, new.observation_id, new.emitted
+                )
+            states.append(new)
+        # Every head on every state, interleaved, after the chains are built.
+        for state in reversed(states):
+            for tag, seed in HEADS:
+                assert chain_digest(state, tag, seed) == scratch_digest(
+                    seed, tag, state.prompt_id, state.observation_id, state.emitted
+                )
 
-    def test_decode_order_rebases_and_stays_exact(self):
-        # A committed prefix growing a few tokens per step, with speculative
-        # queries past it, as one decode issues them.
-        hasher = PrefixHasher(b"agree", 3)
-        committed: tuple[int, ...] = ()
-        for step in range(60):
-            for depth in range(4):
-                tokens = committed + tuple(range(step, step + depth))
-                assert hasher.digest("p", "o", tokens) == scratch_digest(3, b"agree", "p", "o", tokens)
-            committed += (step % 256, (7 * step) % 256, 5)
-        # The saved state kept up with the committed prefix.
-        assert len(committed) - len(hasher._saved[2]) <= 3 * _TRAIL
+    def test_head_first_queried_deep_in_a_chain(self):
+        state = state_of(1, 2)
+        for i in range(5000):
+            state = state.extend(i % 256)
+        # The walk back to the root is a loop: 5,000 links do not recurse.
+        assert chain_digest(state, b"agree", 3) == scratch_digest(
+            3, b"agree", "p", "o", state.emitted
+        )
+        # Each token is held once along the chain, not once per link.
+        held, link = 0, state._link
+        while link is not None:
+            held, link = held + len(link.tokens), link.parent
+        assert held == len(state.emitted)
+
+    def test_copies_equal_the_state_and_hash_alike(self):
+        verifier = HashVerifier(seed=2)
+        state = state_of(5, 6, prompt="pk").extend_many([7, 8]).extend(9)
+        expected = verifier.next(state).argmax  # the chain now holds hash states
+        copies = [
+            pickle.loads(pickle.dumps(state)),
+            copy.deepcopy(state),
+            copy.copy(state),
+            copy.deepcopy([state])[0],
+            dataclasses.replace(state),
+        ]
+        for other in copies:
+            assert other == state and hash(other) == hash(state)
+            assert repr(other) == repr(state) == (
+                "PrefixState(prompt_id='pk', observation_id='o', emitted=(5, 6, 7, 8, 9))"
+            )
+            assert chain_digest(other, b"verifier", 2) == chain_digest(state, b"verifier", 2)
+            assert verifier.next(other).argmax == expected
+            assert verifier.next(other.extend(1)).argmax == verifier.next(state.extend(1)).argmax
 
 
 class TestHashVerifier:
@@ -123,6 +180,21 @@ class TestHashVerifier:
             HashVerifier(vocab_size=1)
         with pytest.raises(ValueError):
             HashVerifier(vocab_size=1 << 17)
+
+
+class TestDistribution:
+    def test_argmax_is_taken_after_normalizing(self):
+        # Bin 1 has the larger raw score, but the two round to one value
+        # once divided by the total, and the lower bin wins the tie.
+        raw = np.array([0.8622755206430472, 0.8622755206430474, 0.8119451869563249])
+        assert raw.argmax() == 1
+        dist = Distribution.from_scores(raw)
+        assert dist.argmax == 0 == dist.scores.argmax()
+
+    def test_scores_without_positive_mass_rejected(self):
+        for raw in (np.zeros(4), np.full(4, np.nan)):
+            with pytest.raises(ValueError, match="positive mass"):
+                Distribution.from_scores(raw)
 
 
 class TestVerifierBatch:
@@ -184,8 +256,9 @@ class TestVerifierBatch:
     def test_shared_models_decode_like_private_ones_across_threads(self):
         params = TreeParams(top_k=3, max_depth=3, max_nodes=12)
         policy = AcceptancePolicy.relaxed(3)
-        # Prefixes longer than the hasher's rebase distance, one per thread.
-        states = [state_of(*range(i, i + 3 * _TRAIL), prompt=f"t{i}") for i in range(8)]
+        # Each state is decoded by two threads at once, so both extend and
+        # hash one digest chain.
+        states = [state_of(*range(i, i + 48), prompt=f"t{i}") for i in range(8)]
 
         def decode(verifier, draft, state):
             return decode_episode(state, verifier, draft, params, policy, 40)

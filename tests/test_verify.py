@@ -1,7 +1,11 @@
 """Strict/relaxed verification, tree selection, and the decoding loops."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specdec.action_space import bin_distance, detokenize
 from specdec.draft_tree import ROOT, DraftNode, DraftTree, TreeParams, TreeStructureError, build_tree
@@ -36,6 +40,65 @@ class EmptyDraft:
 
     def propose_many(self, states, k):
         return [[] for _ in states]
+
+
+class AdversarialDraft:
+    """Draft model built from a table of proposal lists, bad ones included.
+
+    Each prefix gets the table row its tokens hash to.  A proposal is
+    ``(kind, value, log_score)``: ``("near", d)`` proposes the verifier's
+    argmax plus ``d`` (so some drafts are accepted, and edge bins step out of
+    the vocabulary), ``("at", t)`` proposes bin ``t`` outright.  A prefix
+    that holds an out-of-vocabulary bin has no verifier argmax, so there
+    ``near`` counts from bin 0.  Every list it returns is recorded.
+    """
+
+    def __init__(self, verifier, table):
+        self.verifier, self.table, self.returned = verifier, table, []
+
+    def propose_many(self, states, k):
+        vocab = range(self.verifier.vocab_size)
+        out = []
+        for state in states:
+            row = self.table[hash(state.emitted) % len(self.table)][:k]
+            in_vocab = all(t in vocab for t in state.emitted)
+            target = self.verifier.next(state).argmax if in_vocab else 0
+            out.append([(target + v if kind == "near" else v, s) for kind, v, s in row])
+        self.returned.extend(out)
+        return out
+
+
+class RecordingVerifier:
+    """Passes calls through and records every tree the engine verifies."""
+
+    def __init__(self, inner):
+        self.inner, self.vocab_size, self.trees = inner, inner.vocab_size, []
+
+    def next(self, state):
+        return self.inner.next(state)
+
+    def batch(self, state, tree):
+        self.trees.append(tree)
+        return self.inner.batch(state, tree)
+
+
+# Mostly well-formed proposals, so that many decodes get past build_tree;
+# the rest carry bad scores (1 in 10), sibling duplicates or
+# out-of-vocabulary bins.
+BAD_SCORES = [0.5, float("nan"), float("inf"), float("-inf")]
+ADVERSARIAL_PROPOSAL = st.tuples(
+    st.sampled_from(["near", "at"]),
+    st.integers(-2, 2),
+    st.integers(-1, 270),
+    st.sampled_from(range(10 * len(BAD_SCORES))),
+    st.sampled_from([0.0, -0.5, -1.0]) | st.floats(-3.0, 0.0),
+).map(
+    lambda p: (
+        p[0],
+        p[1] if p[0] == "near" else p[2],
+        BAD_SCORES[p[3]] if p[3] < len(BAD_SCORES) else p[4],
+    )
+)
 
 
 class TestAcceptToken:
@@ -350,6 +413,51 @@ class TestDecodeEpisode:
             for token, ref in zip(outcome.emitted, outcome.reference):
                 assert bin_distance(token, ref) <= 7
             assert outcome.emitted[-1] == outcome.reference[-1]
+
+
+class TestAdversarialDrafts:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        table=st.lists(st.lists(ADVERSARIAL_PROPOSAL, max_size=5), min_size=1, max_size=6),
+        top_k=st.integers(1, 4),
+        max_depth=st.integers(1, 3),
+        max_nodes=st.integers(1, 12),
+        r=st.integers(0, 40),
+    )
+    def test_decode_fails_typed_or_keeps_every_invariant(self, table, top_k, max_depth,
+                                                          max_nodes, r):
+        params = TreeParams(top_k=top_k, max_depth=max_depth, max_nodes=max_nodes)
+        state = PrefixState(prompt_id="adv")
+        length = 15
+        for policy in (AcceptancePolicy.strict(), AcceptancePolicy.relaxed(r)):
+            verifier = RecordingVerifier(HashVerifier(seed=61))
+            draft = AdversarialDraft(verifier.inner, table)
+            try:
+                tokens, outcomes = decode_episode(state, verifier, draft, params, policy, length)
+            except TreeStructureError:
+                # Only a bad proposal may fail a decode.
+                assert any(
+                    not -math.inf < score <= 0.0
+                    or len({t for t, _ in props}) < len(props)
+                    or not 0 <= token < verifier.vocab_size
+                    for props in draft.returned
+                    for token, score in props
+                )
+                continue
+            # build_tree checks every score and sibling it is given.
+            for props in draft.returned:
+                assert len({t for t, _ in props}) == len(props)
+                assert all(-math.inf < score <= 0.0 for _, score in props)
+            for tree in verifier.trees:
+                tree.validate()
+                assert len(tree.nodes) <= max_nodes
+                assert all(node.depth <= max_depth for node in tree.nodes)
+            if policy.mode == "strict":
+                assert tokens == ar_decode(state, verifier.inner, length)
+            for outcome in outcomes:
+                for token, ref in zip(outcome.emitted, outcome.reference):
+                    assert 0 <= token < verifier.vocab_size
+                    assert bin_distance(token, ref) <= policy.r
 
 
 class TestNoisyDraftAcceptanceShapes:

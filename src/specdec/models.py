@@ -50,13 +50,11 @@ def _stream_head(tag: bytes, seed: int) -> bytes:
 class _Link:
     """One state's link in a digest chain.
 
-    ``tokens`` are the tokens the state added to its parent's prefix (a
-    chain's root holds its whole prefix).  ``saved`` maps a stream head to
-    the blake2b state that has absorbed this state's key; it is shared, so
-    it is copied before it is updated, never updated in place.  A link holds
-    no ``PrefixState`` and, below the root, no whole prefix, so a long chain
-    keeps alive each step's new tokens and hash states, not a prefix copy
-    per step.
+    ``tokens`` are what the state added to its parent's prefix (a root holds
+    its whole prefix); ``saved`` maps a stream head to the blake2b state
+    that has absorbed the state's key, shared, so copied before any update.
+    Links hold no ``PrefixState``, so a chain keeps alive each step's new
+    tokens and hash states, not a prefix copy per step.
     """
 
     __slots__ = ("parent", "tokens", "saved")
@@ -107,14 +105,11 @@ class PrefixState:
         return child
 
     def _hash_state(self, head: bytes) -> hashlib.blake2b:
-        """blake2b (8-byte digest) of ``head``, prompt, observation and ``emitted``.
+        """blake2b of ``head + prompt + 0x1f + observation + 0x1f + emitted`` (uint16).
 
-        Equals hashing ``head + prompt + 0x1f + observation + 0x1f`` and the
-        tokens as uint16 from scratch.  The walk back to the nearest link
-        that saved ``head`` is a loop, not recursion, so a head first asked
-        for deep in a chain cannot overflow the stack; only tokens added
-        since that link are hashed, and the result is saved on this link.
-        The returned object is shared: copy it before updating it.
+        Only the tokens added since the nearest link that saved ``head`` are
+        hashed; the walk back to it is a loop, so no chain is too deep.  The
+        result is saved on this link and shared: copy it before updating it.
         """
         h = self._link.saved.get(head)
         if h is not None:

@@ -66,8 +66,9 @@ class TestDigestChain:
         ),
         ops=st.lists(
             st.tuples(
-                # How the next state is made from an earlier one: linked to
-                # it, or built directly or by ``replace`` with the same value.
+                # How the next state is made from an earlier one and the
+                # tokens: linked to it, or built directly or by ``replace``
+                # (a new chain root).
                 st.sampled_from(["extend", "extend_many", "direct", "replace"]),
                 st.integers(0, 1000),  # which earlier state; repeats make siblings
                 st.lists(st.integers(0, 65535), max_size=6),

@@ -6,10 +6,20 @@ so far compete for the node budget: they are ranked by cumulative log-score
 and only the best ``max_nodes`` survive.  Because a child's cumulative score
 never exceeds its parent's, the surviving set is automatically closed under
 parents, and the final node list doubles as a topological order.
+
+A level's proposals are read one frontier node at a time, best-ranked node
+first, from the iterable ``DraftModel.propose_many`` returns.  Reading stops
+at the first frontier node that ``max_nodes`` candidates already outrank
+(nodes kept from earlier levels, and children read so far).  That cut is
+exact: the node cannot survive this level, its children rank after it, and
+every later frontier node ranks after it too, so none of the unread
+proposals could have entered the tree.  A lazy draft thus never scores the
+states of cut nodes.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -18,7 +28,8 @@ from .models import DraftModel, PrefixState
 
 class TreeStructureError(ValueError):
     """Raised for malformed trees and draft proposals: dangling parents, bad
-    ordering, size mismatches, bad log-scores, duplicate sibling tokens."""
+    ordering, size mismatches, out-of-vocabulary tokens, bad log-scores,
+    duplicate sibling tokens."""
 
 
 ROOT = -1  # parent marker for first-level nodes
@@ -87,8 +98,15 @@ class DraftTree:
         return tuple(reversed(rev))
 
 
-def build_tree(state: PrefixState, draft: DraftModel, params: TreeParams) -> DraftTree:
-    """Grow a draft tree from ``state`` under the given expansion budget."""
+def build_tree(
+    state: PrefixState, draft: DraftModel, params: TreeParams, vocab_size: int
+) -> DraftTree:
+    """Grow a draft tree from ``state`` under the given expansion budget.
+
+    Raises :class:`TreeStructureError` for a proposal it reads whose token
+    lies outside ``[0, vocab_size)``, whose log-score is non-finite or
+    positive, or whose token repeats a sibling's.
+    """
     # Each candidate is stored as its rank key (-cum_score, depth, path): best
     # score first, then shallower, then lexicographic token path.  Fully
     # structural, so builds and oracles agree on ties.  Survivors are
@@ -96,18 +114,39 @@ def build_tree(state: PrefixState, draft: DraftModel, params: TreeParams) -> Dra
     # checked finite and <= 0, so a child's key sorts after its parent's and
     # every prefix of the ranking is closed under parents.
     selected: dict[tuple[int, ...], tuple[float, int, tuple[int, ...]]] = {}
-    frontier: list[tuple[int, ...]] = [()]  # paths to expand next, root first
+    # Nodes to expand next, best first, as (rank among selected, key).
+    frontier = [(0, (0.0, 0, ()))]
 
     for depth in range(1, params.max_depth + 1):
         if not frontier:
             break
         # Every tree state is one link from ``state`` in its digest chain.
-        states = [state.extend_many(path) if path else state for path in frontier]
-        proposals = draft.propose_many(states, params.top_k)
+        states = [state.extend_many(key[2]) if depth > 1 else state for _, key in frontier]
+        proposals = iter(draft.propose_many(states, params.top_k))
+        # A frontier node that ``max_nodes`` candidates outrank is cut this
+        # level, and so are its children and every later frontier node: stop
+        # reading there.  Only a pool that outgrows the budget can cut one.
+        may_cut = len(selected) + params.top_k * len(frontier) > params.max_nodes
+        children: list[tuple[float, int, tuple[int, ...]]] = []  # min-heap of read children
+        outranking = 0  # read children that rank ahead of the current frontier node
 
-        for path, props in zip(frontier, proposals):
-            base = -selected[path][0] if path else 0.0
+        for rank, key in frontier:
+            if may_cut:
+                while children and children[0] < key:
+                    heapq.heappop(children)
+                    outranking += 1
+                if rank + outranking >= params.max_nodes:
+                    break
+            props = next(proposals, None)
+            if props is None:  # fewer lists than states: the rest propose nothing
+                break
+            path = key[2]
+            base = -key[0] if path else 0.0
             for token, logp in props:
+                if not 0 <= token < vocab_size:
+                    raise TreeStructureError(
+                        f"draft token {token} outside vocabulary [0, {vocab_size})"
+                    )
                 # The ranking needs finite log-scores <= 0 (a child never
                 # outranks its parent) and one candidate per token.
                 if not -math.inf < logp <= 0.0:
@@ -117,11 +156,14 @@ def build_tree(state: PrefixState, draft: DraftModel, params: TreeParams) -> Dra
                 child = path + (token,)
                 if child in selected:
                     raise TreeStructureError(f"draft proposed token {token} twice under {path}")
-                selected[child] = (-(base + logp), depth, child)
+                selected[child] = child_key = (-(base + logp), depth, child)
+                if may_cut:
+                    heapq.heappush(children, child_key)
 
         # In rank order, which the node list keeps.
-        selected = {key[2]: key for key in sorted(selected.values())[: params.max_nodes]}
-        frontier = [path for path in selected if len(path) == depth]
+        ranked = sorted(selected.values())[: params.max_nodes]
+        selected = {key[2]: key for key in ranked}
+        frontier = [(rank, key) for rank, key in enumerate(ranked) if key[1] == depth]
 
     index_of: dict[tuple[int, ...], int] = {}
     nodes: list[DraftNode] = []

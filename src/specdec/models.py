@@ -23,7 +23,7 @@ import time
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -195,9 +195,17 @@ class Verifier(Protocol):
 
 @runtime_checkable
 class DraftModel(Protocol):
+    """Proposes up to ``k`` ``(token, log_score)`` pairs per state, best first.
+
+    ``propose_many`` returns one proposal list per state, in state order, as
+    any iterable: the tree builder reads it in order and stops reading once
+    the node budget cuts the remaining states, so a lazy draft never scores
+    those.  A list is a valid return value.
+    """
+
     def propose_many(
         self, states: Sequence[PrefixState], k: int
-    ) -> list[list[tuple[int, float]]]: ...
+    ) -> Iterable[list[tuple[int, float]]]: ...
 
 
 # Upper bound on the distributions ``HashVerifier`` keeps between batched
@@ -354,10 +362,11 @@ class NoisyDraft:
 
     def propose_many(
         self, states: Sequence[PrefixState], k: int
-    ) -> list[list[tuple[int, float]]]:
+    ) -> Iterator[list[tuple[int, float]]]:
         if not 1 <= k <= self.vocab_size:
             raise ValueError(f"k must be in [1, {self.vocab_size}], got {k}")
-        return [self._ranked(self._center(state), k) for state in states]
+        # Lazy, so a state the tree builder never reads is never scored.
+        return (self._ranked(self._center(state), k) for state in states)
 
 
 def make_noisy_draft(
@@ -421,6 +430,6 @@ class TimedDraft:
 
     def propose_many(
         self, states: Sequence[PrefixState], k: int
-    ) -> list[list[tuple[int, float]]]:
+    ) -> Iterable[list[tuple[int, float]]]:
         simulate_latency(self.latency_s)
         return self.inner.propose_many(states, k)

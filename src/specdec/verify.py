@@ -1,10 +1,10 @@
 """Strict and distance-relaxed verification of draft trees, plus the decode loop.
 
 One verification step works on a draft tree and the verifier's argmax at
-every tree position: each root-to-leaf path is scanned for its longest
-accepted prefix, the best path wins, and the verifier contributes exactly
-one extra token — the correction at the first rejection, or a bonus token
-when a whole path survives.  With the relaxation threshold at zero this
+every tree position: one parents-first pass over the nodes finds each
+root-to-leaf path's longest accepted prefix, the best path wins, and the
+verifier contributes exactly one extra token — the correction at the first
+rejection, or a bonus token when a whole path survives.  With the relaxation threshold at zero this
 reduces to classic lossless speculative decoding; with a positive threshold
 a draft token is accepted whenever its bin lies within the threshold of the
 verifier argmax for that position's action dimension.
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .action_space import CHUNK_SIZE, bin_distance
-from .draft_tree import DraftTree, TreeParams, TreeStructureError, build_tree, enumerate_paths
+from .draft_tree import ROOT, DraftTree, TreeParams, TreeStructureError, build_tree
 from .models import DraftModel, PrefixState, Verifier
 
 
@@ -124,35 +124,56 @@ def verify_tree(
     Ties on accepted length go to the path with the best leaf cumulative
     score (the enumeration order), then the lower path index.  A tree
     with no nodes degrades to one AR step: the empty path, fully accepted,
-    followed by the verifier's bonus token.
+    followed by the verifier's bonus token.  ``chosen_path`` indexes
+    :func:`enumerate_paths`.
     """
-    if len(verified) != len(tree.nodes) + 1:
+    nodes = tree.nodes
+    if len(verified) != len(nodes) + 1:
         raise TreeStructureError(
-            f"expected {len(tree.nodes) + 1} verifier argmaxes, got {len(verified)}"
+            f"expected {len(nodes) + 1} verifier argmaxes, got {len(verified)}"
         )
-    paths = enumerate_paths(tree) or [[]]
-    best_index = 0
-    best_accepted = -1
-    best_next = 0
-    for idx, node_path in enumerate(paths):
-        tokens = [tree.nodes[j].token for j in node_path]
-        # Argmax at path position i conditions on everything before it:
-        # the pre-root entry for i=0, then each node's own distribution.
-        argmaxes = [verified[0]] + [verified[j + 1] for j in node_path]
-        accepted, next_token = verify_path(tokens, argmaxes, policy, start_position)
-        if accepted > best_accepted:
-            best_index, best_accepted, best_next = idx, accepted, next_token
-            if accepted == len(tokens) == tree.params.max_depth:
-                break  # nothing can beat a fully accepted deepest path
+    # One parents-first pass: ``tip[i]`` is the deepest node of the accepted
+    # prefix on node i's root path (ROOT when none is accepted).  A node
+    # extends its parent's tip when that tip is the parent itself and the
+    # node's token passes against the argmax its parent conditions.
+    tip: list[int] = []
+    has_child = [False] * len(nodes)
+    for i, node in enumerate(nodes):
+        parent = node.parent
+        if parent == ROOT:
+            parent_tip = ROOT
+        else:
+            parent_tip = tip[parent]
+            has_child[parent] = True
+        extends = parent_tip == parent and accept_token(
+            node.token, verified[parent + 1], policy,
+            (start_position + node.depth - 1) % CHUNK_SIZE,
+        )
+        tip.append(i if extends else parent_tip)
 
-    chosen = paths[best_index]
-    kept = [tree.nodes[j].token for j in chosen[:best_accepted]]
-    refs = [verified[0]] + [verified[j + 1] for j in chosen[:best_accepted]]
-    bonus_used = best_accepted == len(chosen)
+    # Leaves in node order are the paths in enumeration order; the first
+    # leaf with the deepest accepted prefix wins.
+    leaves = [i for i, inner in enumerate(has_child) if not inner]
+    best_index, best_leaf, best_tip, best_accepted = 0, ROOT, ROOT, 0
+    for index, leaf in enumerate(leaves):
+        accepted = 0 if tip[leaf] == ROOT else nodes[tip[leaf]].depth
+        if index == 0 or accepted > best_accepted:
+            best_index, best_leaf, best_tip, best_accepted = index, leaf, tip[leaf], accepted
+
+    kept: list[int] = []
+    refs: list[int] = []
+    j = best_tip
+    while j != ROOT:
+        parent = nodes[j].parent
+        kept.append(nodes[j].token)
+        refs.append(verified[parent + 1])
+        j = parent
+    next_token = int(verified[best_tip + 1])
+    bonus_used = best_tip == best_leaf
     return VerifyOutcome(
         accepted=best_accepted,
-        emitted=tuple(kept) + (best_next,),
-        reference=tuple(refs[: best_accepted]) + (best_next,),
+        emitted=tuple(reversed(kept)) + (next_token,),
+        reference=tuple(reversed(refs)) + (next_token,),
         correction_used=not bonus_used,
         bonus_used=bonus_used,
         chosen_path=best_index,
@@ -196,12 +217,7 @@ def decode_episode(
     st = state
     vocab_size = verifier.vocab_size
     while len(tokens) < length:
-        tree = build_tree(st, draft, params)
-        for i, node in enumerate(tree.nodes):
-            if not 0 <= node.token < vocab_size:
-                raise TreeStructureError(
-                    f"node {i} token {node.token} outside vocabulary [0, {vocab_size})"
-                )
+        tree = build_tree(st, draft, params, vocab_size)
         scores = verifier.batch(st, tree)
         verified = [scores.root.argmax] + [d.argmax for d in scores.nodes]
         outcome = verify_tree(tree, verified, policy, start_position=st.position)

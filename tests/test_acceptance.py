@@ -132,7 +132,7 @@ def test_step_monotonicity_in_r():
             draft = make_noisy_draft(verifier, agreement_p=0.4, noise_sigma=5.0)
             state = PrefixState(prompt_id=f"mono{i}", emitted=(int(rng.integers(0, 256)),))
             params = TreeParams(top_k=3, max_depth=4, max_nodes=20)
-            tree = build_tree(state, draft, params)
+            tree = build_tree(state, draft, params, verifier.vocab_size)
             scores = verifier.batch(state, tree)
             verified = [scores.root.argmax] + [d.argmax for d in scores.nodes]
             lengths = [
@@ -185,7 +185,7 @@ def test_oracle_equivalence():
                 max_nodes=int(rng.integers(1, 21)),
             )
             state = PrefixState(prompt_id=f"or{i}")
-            tree = build_tree(state, draft, params)
+            tree = build_tree(state, draft, params, verifier.vocab_size)
 
             candidates = {}
             frontier = [((), 0.0)]

@@ -16,6 +16,8 @@ from specdec.models import HashVerifier, PrefixState, make_noisy_draft
 
 from helpers import random_tree
 
+VOCAB = 256  # HashVerifier's default vocabulary
+
 
 def models_for(seed, agreement_p=0.5, noise_sigma=6.0):
     verifier = HashVerifier(seed=seed)
@@ -53,20 +55,49 @@ def exhaustive_rerank_oracle(state, draft, params):
 
 
 class TiedDraft:
-    """Proposes log-scores from {0.0, -0.5, -1.0}, so ranks tie often; each
-    prefix always gets the same proposals."""
+    """Proposes log-scores from ``scores``, by default {0.0, -0.5, -1.0} so
+    ranks tie often; each prefix always gets the same proposals.  Returns a
+    list, so every proposal exists whether ``build_tree`` reads it or not."""
 
-    def __init__(self, seed):
-        self.seed = seed
+    def __init__(self, seed, scores=(0.0, -0.5, -1.0)):
+        self.seed, self.scores = seed, scores
 
     def propose_many(self, states, k):
         proposals = []
         for state in states:
             rng = np.random.default_rng([self.seed, *state.emitted])
             tokens = rng.choice(6, size=min(k, 6), replace=False)
-            scores = sorted(rng.choice([0.0, -0.5, -1.0], size=len(tokens)), reverse=True)
+            scores = sorted(rng.choice(self.scores, size=len(tokens)), reverse=True)
             proposals.append([(int(t), float(s)) for t, s in zip(tokens, scores)])
         return proposals
+
+
+class LazyRecorder:
+    """Wraps a draft; records each level's states and how many were read."""
+
+    def __init__(self, inner):
+        self.inner, self.levels = inner, []
+
+    def propose_many(self, states, k):
+        read = []
+        self.levels.append((list(states), read))
+        for state, props in zip(states, self.inner.propose_many(states, k)):
+            read.append(state)
+            yield props
+
+
+class PoisonedDraft:
+    """Eager draft: ``inner``'s lists, with a bad one for the ``poisoned`` prefix."""
+
+    def __init__(self, inner, poisoned):
+        self.inner, self.poisoned = inner, poisoned
+
+    def propose_many(self, states, k):
+        out = list(self.inner.propose_many(states, k))
+        for state, props in zip(states, out):
+            if state.emitted == self.poisoned:
+                props[0] = (props[0][0], float("nan"))
+        return out
 
 
 class TestBuildTree:
@@ -74,8 +105,8 @@ class TestBuildTree:
         verifier, draft = models_for(1)
         state = PrefixState()
         params = TreeParams(top_k=3, max_depth=1, max_nodes=50)
-        tree = build_tree(state, draft, params)
-        expected = [t for t, _ in draft.propose_many([state], 3)[0]]
+        tree = build_tree(state, draft, params, VOCAB)
+        expected = [t for t, _ in list(draft.propose_many([state], 3))[0]]
         assert len(tree.nodes) == 3
         assert sorted(n.token for n in tree.nodes) == sorted(expected)
         assert all(n.parent == ROOT and n.depth == 1 for n in tree.nodes)
@@ -84,13 +115,13 @@ class TestBuildTree:
         # top_k=8, depth=4: 8 + 64 + ... candidates, capped at 50 nodes.
         verifier, draft = models_for(2)
         state = PrefixState()
-        tree = build_tree(state, draft, TreeParams(top_k=8, max_depth=4, max_nodes=50))
+        tree = build_tree(state, draft, TreeParams(top_k=8, max_depth=4, max_nodes=50), VOCAB)
         assert len(tree.nodes) == 50
         tree.validate()
 
     def test_matches_exhaustive_rerank_oracle(self):
         def check(state, draft, params):
-            tree = build_tree(state, draft, params)
+            tree = build_tree(state, draft, params, VOCAB)
             tree.validate()
             kept = exhaustive_rerank_oracle(state, draft, params)
             built = {tree.token_path(i): tree.nodes[i].cum_score for i in range(len(tree.nodes))}
@@ -122,6 +153,44 @@ class TestBuildTree:
         for trial in range(200):
             check(PrefixState(prompt_id=f"tie{trial}"), TiedDraft(trial), random_params())
 
+    def test_eager_drafts_match_oracle_at_every_budget(self):
+        # Eager lists for cut frontier nodes go unread; the tree must not change.
+        scores = (0.0, -1e-300, -0.5, -1.0, -40.0, -1e6, -1e300)
+        for seed in range(6):
+            draft = TiedDraft(seed, scores)
+            for top_k, max_depth in ((2, 4), (3, 3), (6, 2)):
+                for max_nodes in range(1, 31):
+                    params = TreeParams(top_k=top_k, max_depth=max_depth, max_nodes=max_nodes)
+                    state = PrefixState(prompt_id=f"eager{seed}")
+                    tree = build_tree(state, draft, params, VOCAB)
+                    tree.validate()
+                    kept = exhaustive_rerank_oracle(state, draft, params)
+                    assert [tree.token_path(i) for i in range(len(tree))] == list(kept)
+                    assert [n.cum_score for n in tree.nodes] == list(kept.values())
+
+    def test_default_tree_reads_a_strict_prefix_of_some_level(self):
+        verifier, draft = models_for(3)
+        state = PrefixState(prompt_id="lazy")
+        recorder = LazyRecorder(draft)
+        tree = build_tree(state, recorder, TreeParams(), VOCAB)
+        assert tree.nodes == build_tree(state, draft, TreeParams(), VOCAB).nodes
+        assert len(recorder.levels) == TreeParams().max_depth
+        for given, read in recorder.levels:
+            assert read == given[: len(read)]
+        assert any(len(read) < len(given) for given, read in recorder.levels)
+
+    def test_bad_proposal_fails_only_where_it_is_read(self):
+        verifier, draft = models_for(3)
+        state = PrefixState(prompt_id="lazy")
+        recorder = LazyRecorder(draft)
+        tree = build_tree(state, recorder, TreeParams(), VOCAB)
+        given, read = next((g, r) for g, r in recorder.levels if len(r) < len(g))
+        cut, kept = given[len(read)].emitted, read[-1].emitted
+        poisoned = build_tree(state, PoisonedDraft(draft, cut), TreeParams(), VOCAB)
+        assert poisoned.nodes == tree.nodes
+        with pytest.raises(TreeStructureError, match="log-score nan"):
+            build_tree(state, PoisonedDraft(draft, kept), TreeParams(), VOCAB)
+
     def test_budget_respected_under_fuzzing(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
@@ -132,14 +201,14 @@ class TestBuildTree:
                 max_nodes=int(rng.integers(1, 61)),
             )
             state = PrefixState(prompt_id=str(rng.integers(1 << 30)))
-            tree = build_tree(state, draft, params)
+            tree = build_tree(state, draft, params, VOCAB)
             assert 1 <= len(tree.nodes) <= params.max_nodes
             assert max(n.depth for n in tree.nodes) <= params.max_depth
 
     def test_child_scores_never_exceed_parent(self):
         verifier, draft = models_for(9)
         state = PrefixState()
-        tree = build_tree(state, draft, TreeParams(top_k=4, max_depth=4, max_nodes=40))
+        tree = build_tree(state, draft, TreeParams(top_k=4, max_depth=4, max_nodes=40), VOCAB)
         for node in tree.nodes:
             parent_score = 0.0 if node.parent == ROOT else tree.nodes[node.parent].cum_score
             assert node.cum_score <= parent_score + 1e-12
@@ -149,8 +218,8 @@ class TestBuildTree:
             verifier, draft = models_for(seed)
             state = PrefixState(prompt_id="d")
             params = TreeParams(top_k=8, max_depth=4, max_nodes=50)
-            a = build_tree(state, draft, params)
-            b = build_tree(state, draft, params)
+            a = build_tree(state, draft, params, VOCAB)
+            b = build_tree(state, draft, params, VOCAB)
             assert a.nodes == b.nodes
 
     def test_invalid_params_rejected(self):
@@ -189,16 +258,16 @@ class TestBadProposals:
     )
     def test_non_finite_or_positive_log_score_rejected(self, proposals):
         with pytest.raises(TreeStructureError, match="log-score"):
-            build_tree(PrefixState(), FixedDraft(proposals), self.PARAMS)
+            build_tree(PrefixState(), FixedDraft(proposals), self.PARAMS, VOCAB)
 
     def test_duplicate_token_under_one_parent_rejected(self):
         draft = FixedDraft([(10, -0.1), (10, -0.2), (12, -0.3)])
         with pytest.raises(TreeStructureError, match="twice"):
-            build_tree(PrefixState(), draft, self.PARAMS)
+            build_tree(PrefixState(), draft, self.PARAMS, VOCAB)
 
     def test_zero_log_score_accepted(self):
         draft = FixedDraft([(10, 0.0), (11, -0.2), (12, -0.3)])
-        tree = build_tree(PrefixState(), draft, self.PARAMS)
+        tree = build_tree(PrefixState(), draft, self.PARAMS, VOCAB)
         tree.validate()
         assert len(tree.nodes) == 5
 
@@ -258,7 +327,7 @@ class TestEnumeratePaths:
         for _ in range(40):
             verifier, draft = models_for(int(rng.integers(0, 100)))
             state = PrefixState(prompt_id=str(rng.integers(1 << 30)))
-            tree = build_tree(state, draft, TreeParams(top_k=3, max_depth=3, max_nodes=25))
+            tree = build_tree(state, draft, TreeParams(top_k=3, max_depth=3, max_nodes=25), VOCAB)
             paths = enumerate_paths(tree)
             scores = [tree.nodes[p[-1]].cum_score for p in paths]
             assert scores == sorted(scores, reverse=True)

@@ -20,6 +20,7 @@ from specdec.models import (
     Distribution,
     HashVerifier,
     PrefixState,
+    TimedDraft,
     displacement_pmf,
     make_noisy_draft,
 )
@@ -203,7 +204,8 @@ class TestVerifierBatch:
         v = HashVerifier(seed=2)
         draft = make_noisy_draft(v, agreement_p=1.0, noise_sigma=1.0)
         state = state_of(4, 5)
-        tree = build_tree(state, draft, TreeParams(top_k=1, max_depth=1, max_nodes=1))
+        params = TreeParams(top_k=1, max_depth=1, max_nodes=1)
+        tree = build_tree(state, draft, params, v.vocab_size)
         assert len(tree.nodes) == 1
         result = v.batch(state, tree)
         extended = state.extend(tree.nodes[0].token)
@@ -227,7 +229,8 @@ class TestVerifierBatch:
         v = HashVerifier(seed=1)
         draft = make_noisy_draft(v, agreement_p=0.5, noise_sigma=6.0)
         state = state_of()
-        tree = build_tree(state, draft, TreeParams(top_k=8, max_depth=4, max_nodes=50))
+        params = TreeParams(top_k=8, max_depth=4, max_nodes=50)
+        tree = build_tree(state, draft, params, v.vocab_size)
         assert len(tree.nodes) == 50
         result = v.batch(state, tree)
         assert len(result.nodes) == 50
@@ -298,7 +301,8 @@ class TestVerifierMemo:
                 return self.inner.next(s)
 
         recording = Recording(HashVerifier(seed=4))
-        tree = build_tree(state, make_noisy_draft(recording, 0.5, 6.0), params)
+        draft = make_noisy_draft(recording, 0.5, 6.0)
+        tree = build_tree(state, draft, params, recording.vocab_size)
         prefixes = {state.emitted, *recording.prefixes}
         prefixes.update(state.emitted + tree.token_path(i) for i in range(len(tree.nodes)))
 
@@ -314,7 +318,9 @@ class TestVerifierMemo:
     def test_memoized_scores_are_read_only(self):
         v = HashVerifier(seed=6)
         state = state_of(1, 2)
-        tree = build_tree(state, make_noisy_draft(v, 0.5, 6.0), TreeParams(top_k=2, max_depth=2))
+        tree = build_tree(
+            state, make_noisy_draft(v, 0.5, 6.0), TreeParams(top_k=2, max_depth=2), v.vocab_size
+        )
         first = v.next(state)
         result = v.batch(state, tree)
         assert result.root is first  # served from the memo
@@ -360,6 +366,15 @@ class TestNoisyDraft:
         with pytest.raises(ValueError):
             draft.propose_many([state_of()], 0)
 
+    def test_bad_k_raises_at_call_time(self):
+        # Proposals are made lazily, but a bad ``k`` fails before any is read.
+        draft = make_noisy_draft(HashVerifier(seed=1), agreement_p=1.0, noise_sigma=1.0)
+        for wrapped in (draft, TimedDraft(draft, 0.0)):
+            with pytest.raises(ValueError, match="k must be"):
+                wrapped.propose_many([state_of()], 0)
+            with pytest.raises(ValueError, match="k must be"):
+                wrapped.propose_many([], 0)
+
     def test_full_agreement_tracks_argmax_everywhere(self):
         v = HashVerifier(seed=23)
         draft = make_noisy_draft(v, agreement_p=1.0, noise_sigma=4.0)
@@ -367,7 +382,7 @@ class TestNoisyDraft:
         for _ in range(10_000):
             tokens = tuple(int(t) for t in rng.integers(0, 256, size=rng.integers(0, 4)))
             state = state_of(*tokens)
-            top = draft.propose_many([state], 1)[0][0][0]
+            top = list(draft.propose_many([state], 1))[0][0][0]
             assert top == v.next(state).argmax
 
     def test_deterministic_proposals(self):
@@ -375,12 +390,14 @@ class TestNoisyDraft:
         draft = make_noisy_draft(v, agreement_p=0.3, noise_sigma=5.0, seed=9)
         again = make_noisy_draft(v, agreement_p=0.3, noise_sigma=5.0, seed=9)
         state = state_of(7, 7, 7)
-        first = draft.propose_many([state], 8)
-        assert first == again.propose_many([state], 8)
+        first = list(draft.propose_many([state], 8))
+        assert first == list(again.propose_many([state], 8))
         # A repeated query is served from the per-center ranking and must not
         # hand out the stored list itself.
         first[0].clear()
-        assert draft.propose_many([state, state], 8) == again.propose_many([state, state], 8)
+        assert list(draft.propose_many([state, state], 8)) == list(
+            again.propose_many([state, state], 8)
+        )
 
     def test_agreement_calibration_three_sigma(self):
         """Empirical top-1 agreement over 100k prefixes within 3 SE of p."""
@@ -391,7 +408,7 @@ class TestNoisyDraft:
         agree = 0
         for i in range(n):
             state = PrefixState(prompt_id=f"cal{i}", observation_id="o")
-            top = draft.propose_many([state], 1)[0][0][0]
+            top = list(draft.propose_many([state], 1))[0][0][0]
             agree += top == v.next(state).argmax
         se = (p * (1 - p) / n) ** 0.5
         # Clamping at the vocabulary edge can fold a displacement back onto

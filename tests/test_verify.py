@@ -48,33 +48,31 @@ class AdversarialDraft:
     Each prefix gets the table row its tokens hash to.  A proposal is
     ``(kind, value, log_score)``: ``("near", d)`` proposes the verifier's
     argmax plus ``d`` (so some drafts are accepted, and edge bins step out of
-    the vocabulary), ``("at", t)`` proposes bin ``t`` outright.  A prefix
-    that holds an out-of-vocabulary bin has no verifier argmax, so there
-    ``near`` counts from bin 0.  Every list it returns is recorded.
+    the vocabulary), ``("at", t)`` proposes bin ``t`` outright.  Lists are
+    made lazily, each recorded as it is read.
     """
 
     def __init__(self, verifier, table):
         self.verifier, self.table, self.returned = verifier, table, []
 
     def propose_many(self, states, k):
-        vocab = range(self.verifier.vocab_size)
-        out = []
         for state in states:
             row = self.table[hash(state.emitted) % len(self.table)][:k]
-            in_vocab = all(t in vocab for t in state.emitted)
-            target = self.verifier.next(state).argmax if in_vocab else 0
-            out.append([(target + v if kind == "near" else v, s) for kind, v, s in row])
-        self.returned.extend(out)
-        return out
+            target = self.verifier.next(state).argmax
+            props = [(target + v if kind == "near" else v, s) for kind, v, s in row]
+            self.returned.append(props)
+            yield props
 
 
 class RecordingVerifier:
-    """Passes calls through and records every tree the engine verifies."""
+    """Passes calls through, counts ``next`` calls and records every tree
+    the engine verifies."""
 
     def __init__(self, inner):
-        self.inner, self.vocab_size, self.trees = inner, inner.vocab_size, []
+        self.inner, self.vocab_size, self.trees, self.nexts = inner, inner.vocab_size, [], 0
 
     def next(self, state):
+        self.nexts += 1
         return self.inner.next(state)
 
     def batch(self, state, tree):
@@ -390,6 +388,33 @@ class TestDecodeEpisode:
         with pytest.raises(TreeStructureError):
             decode_episode(PrefixState(), verifier, draft, params, AcceptancePolicy.relaxed(100), 7)
 
+    @pytest.mark.parametrize("token", [-1, 70_000])
+    def test_out_of_vocab_proposal_rejected_before_it_is_expanded(self, token):
+        class ScoringDraft:
+            """Scores every state it gets with the verifier, then proposes ``token``."""
+
+            def propose_many(self, states, k):
+                return [[(verifier.next(s).argmax, -0.1), (token, -0.2)] for s in states]
+
+        verifier = HashVerifier(seed=47)
+        params = TreeParams(top_k=2, max_depth=3, max_nodes=6)
+        with pytest.raises(TreeStructureError, match="outside vocabulary"):
+            decode_episode(
+                PrefixState(), verifier, ScoringDraft(), params, AcceptancePolicy.strict(), 7
+            )
+
+    def test_verifier_evaluations_at_the_default_tree(self):
+        # The draft scores its states through the same counting verifier.
+        verifier = RecordingVerifier(HashVerifier(seed=0))
+        draft = make_noisy_draft(verifier, agreement_p=0.5, noise_sigma=6.0)
+        _, outcomes = decode_episode(
+            PrefixState(prompt_id="evals"), verifier, draft, TreeParams(),
+            AcceptancePolicy.strict(), 70,
+        )
+        evals = verifier.nexts + sum(1 + len(tree.nodes) for tree in verifier.trees)
+        # Pinned; drafting the frontier nodes the budget cuts would take 3,892.
+        assert (len(outcomes), evals) == (30, 3010)
+
     def test_empty_draft_degrades_to_ar_steps(self):
         verifier = HashVerifier(seed=46)
         state = PrefixState(prompt_id="empty")
@@ -444,9 +469,10 @@ class TestAdversarialDrafts:
                     for token, score in props
                 )
                 continue
-            # build_tree checks every score and sibling it is given.
+            # build_tree checks every score, token and sibling it reads.
             for props in draft.returned:
                 assert len({t for t, _ in props}) == len(props)
+                assert all(0 <= token < verifier.vocab_size for token, _ in props)
                 assert all(-math.inf < score <= 0.0 for _, score in props)
             for tree in verifier.trees:
                 tree.validate()

@@ -51,7 +51,6 @@ from .verify import (
     accept_token,
     ar_decode,
     decode_episode,
-    verify_path,
     verify_tree,
 )
 
@@ -101,7 +100,6 @@ __all__ = [
     "success_proxy",
     "tokenize",
     "validate_report",
-    "verify_path",
     "verify_tree",
     "__version__",
 ]

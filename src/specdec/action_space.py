@@ -9,6 +9,7 @@ the absolute difference of their bin IDs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,14 +35,6 @@ _DEFAULT_LOW = (-0.05, -0.05, -0.05, -0.25, -0.25, -0.25, 0.0)
 _DEFAULT_HIGH = (0.05, 0.05, 0.05, 0.25, 0.25, 0.25, 1.0)
 
 
-def validate_token(token: int, vocab_size: int = DEFAULT_VOCAB_SIZE) -> int:
-    """Check that ``token`` is a valid bin ID and return it as a plain int."""
-    t = int(token)
-    if not 0 <= t < vocab_size:
-        raise ValueError(f"token {t} outside vocabulary [0, {vocab_size})")
-    return t
-
-
 def bin_distance(a: int, b: int) -> int:
     """Distance between two action tokens: absolute difference of bin IDs."""
     return abs(int(a) - int(b))
@@ -58,9 +51,9 @@ class DimensionBounds:
         if len(self.low) != CHUNK_SIZE or len(self.high) != CHUNK_SIZE:
             raise ValueError(f"bounds must cover exactly {CHUNK_SIZE} dimensions")
         for i, (lo, hi) in enumerate(zip(self.low, self.high)):
-            if not lo < hi:
+            if not -math.inf < lo < hi < math.inf:
                 raise ValueError(
-                    f"dimension {i} ({DIMENSION_NAMES[i]}): low {lo} must be < high {hi}"
+                    f"dimension {i} ({DIMENSION_NAMES[i]}): need finite low {lo} < high {hi}"
                 )
 
     @classmethod

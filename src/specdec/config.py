@@ -10,6 +10,7 @@ source sets one.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -69,6 +70,9 @@ class RunConfig:
     out: str | None = None
 
     def validate(self) -> None:
+        # The models pack ``seed`` and ``seed + 1`` as signed 64-bit integers.
+        if not -(2**63) <= self.seed <= 2**63 - 2:
+            raise ConfigValueError(f"seed must be in [-2^63, 2^63 - 2], got {self.seed}")
         if not 2 <= self.vocab_size <= MAX_VOCAB_SIZE:
             raise ConfigValueError(f"vocab_size must be in [2, {MAX_VOCAB_SIZE}]")
         if not 1 <= self.top_k <= self.vocab_size:
@@ -81,12 +85,14 @@ class RunConfig:
             raise ConfigValueError("max_nodes must be >= 1")
         if not 0.0 <= self.agreement_p <= 1.0:
             raise ConfigValueError("agreement_p must be in [0, 1]")
-        if self.noise_sigma <= 0.0:
+        if not self.noise_sigma > 0.0:
             raise ConfigValueError("noise_sigma must be positive")
         if not self.r_values:
             raise ConfigValueError("r_values must list at least one threshold")
         if any(r < 0 for r in self.r_values):
             raise ConfigValueError("relaxation thresholds must be >= 0")
+        if len(set(self.r_values)) != len(self.r_values):
+            raise ConfigValueError(f"r_values must not repeat a threshold, got {self.r_values}")
         if self.per_dimension_r is not None:
             if len(self.per_dimension_r) != CHUNK_SIZE:
                 raise ConfigValueError(f"per_dimension_r must list {CHUNK_SIZE} thresholds")
@@ -101,9 +107,9 @@ class RunConfig:
             )
         if self.success_tolerance < 0:
             raise ConfigValueError("success_tolerance must be >= 0")
-        if self.verify_latency is not None and self.verify_latency <= 0.0:
+        if self.verify_latency is not None and not self.verify_latency > 0.0:
             raise ConfigValueError("verify_latency must be positive when set")
-        if self.draft_latency is not None and self.draft_latency < 0.0:
+        if self.draft_latency is not None and not self.draft_latency >= 0.0:
             raise ConfigValueError("draft_latency must be >= 0 when set")
         if (self.verify_latency is None) != (self.draft_latency is None):
             raise ConfigValueError("verify_latency and draft_latency must be set together")
@@ -172,20 +178,29 @@ _KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | {
 }
 
 
+def _as_int(value) -> int:
+    """An integral number that is not a bool, as an int."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError
+    return int(value)
+
+
 def _coerce(key: str, value):
     if value is None and key in ("per_dimension_r", "verify_latency", "draft_latency", "out"):
         return None
     try:
         if key in _INT_KEYS:
-            if isinstance(value, bool) or int(value) != value:
-                raise ValueError
-            return int(value)
+            return _as_int(value)
         if key in _FLOAT_KEYS:
-            return float(value)
-        if key == "r_values":
-            return tuple(int(r) for r in value)
-        if key == "per_dimension_r":
-            return tuple(int(t) for t in value)
+            # ``json`` reads NaN and Infinity; neither is a usable setting.
+            if not math.isfinite(value := float(value)):
+                raise ValueError
+            return value
+        if key in ("r_values", "per_dimension_r"):
+            # A JSON list; flag overrides pass a tuple.
+            if not isinstance(value, (list, tuple)):
+                raise ValueError
+            return tuple(_as_int(t) for t in value)
         if key == "dimension_bounds":
             return DimensionBounds.from_pairs(value)
         if key == "measure_speedup":
@@ -198,7 +213,7 @@ def _coerce(key: str, value):
             return value
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigValueError(f"config key {key!r} has invalid value {value!r}") from exc
     raise ConfigValueError(f"unknown config key {key!r}")
 

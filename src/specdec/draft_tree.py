@@ -63,9 +63,6 @@ class DraftTree:
     nodes: tuple[DraftNode, ...]
     params: TreeParams
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
     def validate(self) -> None:
         seen_paths: set[tuple[int, ...]] = set()
         paths: list[tuple[int, ...]] = []
@@ -88,14 +85,6 @@ class DraftTree:
                 raise TreeStructureError(f"duplicate token path {path}")
             seen_paths.add(path)
             paths.append(path)
-
-    def token_path(self, index: int) -> tuple[int, ...]:
-        """Root-to-node tokens for the node at ``index``."""
-        rev = []
-        while index != ROOT:
-            rev.append(self.nodes[index].token)
-            index = self.nodes[index].parent
-        return tuple(reversed(rev))
 
 
 def build_tree(

@@ -41,9 +41,9 @@ class CostModel:
     draft_latency: float
 
     def __post_init__(self) -> None:
-        if self.verify_latency <= 0.0:
+        if not self.verify_latency > 0.0:
             raise ValueError("verify_latency must be positive")
-        if self.draft_latency < 0.0:
+        if not self.draft_latency >= 0.0:
             raise ValueError("draft_latency must be >= 0")
 
 
@@ -59,7 +59,6 @@ class EpisodeStats:
     position_sums: tuple[int, ...]  # accepted totals keyed by start position mod 7
     position_counts: tuple[int, ...]
     tokens_per_pass: float  # 1 + histogram mean, exact
-    wall_clock_per_token: float
     success: bool
 
     @property
@@ -98,9 +97,7 @@ def run_episode(
     episode: int = 0,
 ) -> EpisodeStats:
     """Decode one episode and fold its outcomes into summary statistics."""
-    start = time.perf_counter()
     tokens, outcomes = decode_episode(state, verifier, draft, params, policy, length)
-    elapsed = time.perf_counter() - start
 
     histogram = [0] * (params.max_depth + 1)
     position_sums = [0] * CHUNK_SIZE
@@ -129,7 +126,6 @@ def run_episode(
         position_sums=tuple(position_sums),
         position_counts=tuple(position_counts),
         tokens_per_pass=1.0 + mean_accepted,
-        wall_clock_per_token=elapsed / length,
         success=success_proxy(tokens, tuple(reference[: len(tokens)]), success_tolerance),
     )
 

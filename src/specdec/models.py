@@ -2,17 +2,17 @@
 
 The engine only needs two model roles:
 
-* a **verifier** that, given a decoding prefix, scores every token in the
-  action vocabulary (the large model), and
+* a **verifier** that, given a decoding prefix, picks the greedy next token
+  of the action vocabulary (the large model), and
 * a **draft model** that cheaply proposes candidate next tokens (the small
   model).
 
 Both synthetic implementations here are pure functions of ``(seed, inputs)``
 so every experiment is reproducible without any trained weights: the
-verifier draws its score vector from a counter-based RNG keyed by a hash of
-the prefix, and the draft model tracks the verifier argmax with a
-configurable agreement probability, displacing it by a discrete
-Gaussian-shaped kernel otherwise.
+verifier takes the argmax of a score vector drawn from a counter-based RNG
+keyed by a hash of the prefix, and the draft model tracks the verifier
+argmax with a configurable agreement probability, displacing it by a
+discrete Gaussian-shaped kernel otherwise.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import time
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -133,18 +133,12 @@ class PrefixState:
 
 
 class Distribution:
-    """Normalized scores over the action vocabulary plus their argmax.
+    """The verifier's argmax at one position: all that acceptance reads of its scores."""
 
-    ``from_scores`` keeps the raw scores and normalizes them on the first
-    read of ``scores``: the engine itself reads only ``argmax``.
-    """
+    __slots__ = ("argmax",)
 
-    __slots__ = ("argmax", "_raw", "_scores")
-
-    def __init__(self, scores: np.ndarray, argmax: int):
+    def __init__(self, argmax: int):
         self.argmax = argmax
-        self._raw: np.ndarray | None = None
-        self._scores: np.ndarray | None = scores
 
     @classmethod
     def from_scores(cls, raw: np.ndarray) -> Distribution:
@@ -154,20 +148,7 @@ class Distribution:
         # The argmax of the normalized scores, not of ``raw``: two raw
         # maxima can round to one value when divided.  argmax returns the
         # first maximizer, so the lowest bin ID wins ties.
-        dist = cls.__new__(cls)
-        dist.argmax = int((raw / total).argmax())
-        dist._raw, dist._scores = raw, None
-        return dist
-
-    @property
-    def scores(self) -> np.ndarray:
-        scores = self._scores
-        if scores is None:
-            scores = self._raw / self._raw.sum()
-            # Memoized distributions are shared between callers.
-            scores.flags.writeable = False
-            self._scores = scores
-        return scores
+        return cls(int((raw / total).argmax()))
 
 
 @dataclass(frozen=True)
@@ -184,7 +165,6 @@ class TreeDistributions:
     nodes: list[Distribution]
 
 
-@runtime_checkable
 class Verifier(Protocol):
     vocab_size: int
 
@@ -193,7 +173,6 @@ class Verifier(Protocol):
     def batch(self, state: PrefixState, tree: DraftTree) -> TreeDistributions: ...
 
 
-@runtime_checkable
 class DraftModel(Protocol):
     """Proposes up to ``k`` ``(token, log_score)`` pairs per state, best first.
 
@@ -277,7 +256,7 @@ def displacement_pmf(noise_sigma: float, vocab_size: int) -> tuple[np.ndarray, n
     shift keeps the ±1 weights finite as sigma approaches 0, so the kernel
     degenerates to a ±1 coin flip instead of underflowing.
     """
-    if noise_sigma <= 0.0:
+    if not noise_sigma > 0.0:
         raise ValueError("noise_sigma must be positive")
     mags = np.arange(1, vocab_size, dtype=np.float64)
     logw = -(mags**2 - 1.0) / (2.0 * noise_sigma**2)
@@ -311,9 +290,9 @@ class NoisyDraft:
     ):
         if not 0.0 <= agreement_p <= 1.0:
             raise ValueError("agreement_p must be in [0, 1]")
-        if noise_sigma <= 0.0:
+        if not noise_sigma > 0.0:
             raise ValueError("noise_sigma must be positive")
-        if proposal_sigma <= 0.0:
+        if not proposal_sigma > 0.0:
             raise ValueError("proposal_sigma must be positive")
         self.verifier = verifier
         self.vocab_size = verifier.vocab_size

@@ -72,42 +72,17 @@ class VerifyOutcome:
     """Result of one verification step.
 
     ``emitted`` always holds ``accepted`` draft tokens plus exactly one
-    verifier token (correction or bonus).  ``reference`` carries the
-    verifier argmax for every emitted position, which bounds how far the
-    emitted step drifted from the verifier's own choices.
+    verifier token: the bonus when ``bonus_used``, else the correction at
+    the first rejection.  ``reference`` carries the verifier argmax for
+    every emitted position, which bounds how far the emitted step drifted
+    from the verifier's own choices.
     """
 
     accepted: int
     emitted: tuple[int, ...]
     reference: tuple[int, ...]
-    correction_used: bool
     bonus_used: bool
     chosen_path: int
-
-
-def verify_path(
-    path_tokens: Sequence[int],
-    verified: Sequence[int],
-    policy: AcceptancePolicy,
-    start_position: int = 0,
-) -> tuple[int, int]:
-    """Scan one draft path left to right against per-position verifier argmaxes.
-
-    ``verified[i]`` is the verifier argmax for path position ``i``;
-    ``verified[len(path_tokens)]`` is the argmax after the full path.
-    Returns ``(accepted_length, next_token)`` where ``next_token`` is the
-    correction at the first rejected position, or the bonus token when the
-    whole path is accepted.  ``start_position`` anchors the 7-dimension
-    cycle for per-dimension thresholds.
-    """
-    if len(verified) < len(path_tokens) + 1:
-        raise TreeStructureError(
-            f"need {len(path_tokens) + 1} verifier argmaxes, got {len(verified)}"
-        )
-    for i, draft in enumerate(path_tokens):
-        if not accept_token(draft, verified[i], policy, (start_position + i) % CHUNK_SIZE):
-            return i, int(verified[i])
-    return len(path_tokens), int(verified[len(path_tokens)])
 
 
 def verify_tree(
@@ -174,7 +149,6 @@ def verify_tree(
         accepted=best_accepted,
         emitted=tuple(reversed(kept)) + (next_token,),
         reference=tuple(reversed(refs)) + (next_token,),
-        correction_used=not bonus_used,
         bonus_used=bonus_used,
         chosen_path=best_index,
     )

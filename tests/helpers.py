@@ -11,12 +11,6 @@ from specdec.draft_tree import ROOT, DraftNode, DraftTree, TreeParams
 from specdec.models import Distribution, TreeDistributions
 
 
-def one_hot(token: int, vocab_size: int) -> Distribution:
-    scores = np.zeros(vocab_size)
-    scores[token] = 1.0
-    return Distribution(scores=scores, argmax=int(token))
-
-
 class ScriptedVerifier:
     """Verifier whose argmax depends only on the absolute position.
 
@@ -32,15 +26,12 @@ class ScriptedVerifier:
         return self.sequence[position % len(self.sequence)]
 
     def next(self, state):
-        return one_hot(self._argmax_at(state.position), self.vocab_size)
+        return Distribution(self._argmax_at(state.position))
 
     def batch(self, state, tree):
         tree.validate()
         root = self.next(state)
-        nodes = [
-            one_hot(self._argmax_at(state.position + node.depth), self.vocab_size)
-            for node in tree.nodes
-        ]
+        nodes = [Distribution(self._argmax_at(state.position + node.depth)) for node in tree.nodes]
         return TreeDistributions(root=root, nodes=nodes)
 
 
@@ -109,6 +100,15 @@ def random_tree(rng: np.random.Generator, max_nodes=50, max_depth=4,
             break
     params = TreeParams(top_k=top_k, max_depth=max_depth, max_nodes=max_nodes)
     return DraftTree(nodes=tuple(nodes), params=params)
+
+
+def token_path(tree: DraftTree, index: int) -> tuple[int, ...]:
+    """Root-to-node tokens for the node at ``index``, by a parent-pointer walk."""
+    rev = []
+    while index != ROOT:
+        rev.append(tree.nodes[index].token)
+        index = tree.nodes[index].parent
+    return tuple(reversed(rev))
 
 
 def reference_verify_path(path_tokens, verified, r_for_dim, start_position):

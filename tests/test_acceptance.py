@@ -20,7 +20,7 @@ from specdec.draft_tree import TreeParams, build_tree, enumerate_paths
 from specdec.harness import measure_speedup, run_batch
 from specdec.models import HashVerifier, PrefixState, make_noisy_draft
 from specdec.report import aggregate, render_json, validate_report
-from specdec.verify import AcceptancePolicy, ar_decode, decode_episode, verify_path, verify_tree
+from specdec.verify import AcceptancePolicy, ar_decode, decode_episode, verify_tree
 
 from helpers import (
     ScriptedDraft,
@@ -28,6 +28,8 @@ from helpers import (
     chain_expected_accepted,
     chain_q,
     random_tree,
+    reference_verify_path,
+    token_path,
 )
 
 
@@ -160,7 +162,7 @@ def test_oracle_equivalence():
             for idx, node_path in enumerate(enumerate_paths(tree)):
                 tokens = [tree.nodes[j].token for j in node_path]
                 argmaxes = [verified[0]] + [verified[j + 1] for j in node_path]
-                accepted, nxt = verify_path(tokens, argmaxes, policy_of(r), start)
+                accepted, nxt = reference_verify_path(tokens, argmaxes, lambda dim: r, start)
                 if accepted > best_accepted:
                     best_accepted = accepted
                     best_idx = idx
@@ -205,7 +207,7 @@ def test_oracle_equivalence():
                 if len(path) > 1 and path[:-1] not in kept:
                     continue
                 kept[path] = cum
-            built = {tree.token_path(j) for j in range(len(tree.nodes))}
+            built = {token_path(tree, j) for j in range(len(tree.nodes))}
             assert built == set(kept)
 
 

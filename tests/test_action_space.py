@@ -9,7 +9,6 @@ from specdec.action_space import (
     bin_distance,
     detokenize,
     tokenize,
-    validate_token,
 )
 
 SYMMETRIC = DimensionBounds(low=(-1.0,) * 7, high=(1.0,) * 7)
@@ -115,18 +114,3 @@ class TestBounds:
     def test_from_pairs_rejects_wrong_count(self):
         with pytest.raises(ValueError):
             DimensionBounds.from_pairs([[-1.0, 1.0]] * 6)
-
-
-class TestValidateToken:
-    def test_accepts_range(self):
-        assert validate_token(0) == 0
-        assert validate_token(255) == 255
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            validate_token(256)
-        with pytest.raises(ValueError):
-            validate_token(-1)
-
-    def test_custom_vocab(self):
-        assert validate_token(256, vocab_size=257) == 256

@@ -88,10 +88,35 @@ class TestParseConfig:
             parse_config(None, {"verify_latency": 0.02})
 
     def test_wrong_types_rejected(self, tmp_path):
-        for payload in ({"episodes": "many"}, {"agreement_p": "high"}, {"measure_speedup": 1}):
+        nan, inf = float("nan"), float("inf")
+        for payload in (
+            {"episodes": "many"},
+            {"agreement_p": "high"},
+            {"measure_speedup": 1},
+            # ``json`` reads NaN and Infinity.
+            {"noise_sigma": nan},
+            {"noise_sigma": "nan"},
+            {"noise_sigma": inf},
+            {"verify_latency": nan, "draft_latency": 0.001},
+            {"verify_latency": 0.02, "draft_latency": inf},
+            {"episodes": inf},
+            {"dimension_bounds": [[-inf, inf]] + [[-1.0, 1.0]] * 6},
+            # List elements follow the integer rule, in a JSON list.
+            {"r_values": "039"},
+            {"r_values": {"0": 1}},
+            {"r_values": [True, 2.7]},
+            {"r_values": [True, 2]},
+            {"r_values": [0, 3.5]},
+            {"per_dimension_r": [0.9] * 7},
+            {"per_dimension_r": "0000000"},
+            {"per_dimension_r": [9, 9, 9, 9, 9, 9, False]},
+            {"r_values": [3, 3]},
+        ):
             path = write_config(tmp_path, payload)
             with pytest.raises(ConfigValueError):
                 parse_config(path, {})
+        with pytest.raises(ConfigValueError, match="repeat"):
+            parse_config(None, {"r_values": (3, 3)})  # as ``--r 3 --r 3`` passes it
 
 
 class TestRunAblation:
@@ -189,6 +214,11 @@ class TestCliCommands:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"top_k": 300}))
         assert main(["bench", "--config", str(bad)]) == 5
+        capsys.readouterr()
+        # The models pack ``seed + 1`` as a signed 64-bit integer.
+        assert main(["decode", "--seed", str(2**63 - 1), "--length", "7"]) == 5
+        assert capsys.readouterr().err == f"error: seed must be in [-2^63, 2^63 - 2], got {2**63 - 1}\n"
+        assert main(["decode", "--seed", str(2**63 - 2), "--length", "7"]) == 0
         capsys.readouterr()
 
     def test_ablate_single_r_exit_code(self, capsys):

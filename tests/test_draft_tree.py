@@ -14,7 +14,7 @@ from specdec.draft_tree import (
 )
 from specdec.models import HashVerifier, PrefixState, make_noisy_draft
 
-from helpers import random_tree
+from helpers import random_tree, token_path
 
 VOCAB = 256  # HashVerifier's default vocabulary
 
@@ -124,7 +124,7 @@ class TestBuildTree:
             tree = build_tree(state, draft, params, VOCAB)
             tree.validate()
             kept = exhaustive_rerank_oracle(state, draft, params)
-            built = {tree.token_path(i): tree.nodes[i].cum_score for i in range(len(tree.nodes))}
+            built = {token_path(tree, i): tree.nodes[i].cum_score for i in range(len(tree.nodes))}
             assert set(built) == set(kept)
             for path, cum in built.items():
                 assert cum == pytest.approx(kept[path], rel=1e-12)
@@ -165,7 +165,7 @@ class TestBuildTree:
                     tree = build_tree(state, draft, params, VOCAB)
                     tree.validate()
                     kept = exhaustive_rerank_oracle(state, draft, params)
-                    assert [tree.token_path(i) for i in range(len(tree))] == list(kept)
+                    assert [token_path(tree, i) for i in range(len(tree.nodes))] == list(kept)
                     assert [n.cum_score for n in tree.nodes] == list(kept.values())
 
     def test_default_tree_reads_a_strict_prefix_of_some_level(self):

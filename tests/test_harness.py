@@ -13,7 +13,6 @@ from specdec.harness import (
     build_models,
     measure_speedup,
     run_batch,
-    run_episode,
     success_proxy,
 )
 from specdec.models import PrefixState
@@ -83,6 +82,9 @@ class TestRunBatch:
 
         with pytest.raises(ConfigValueError, match="top_k"):
             run_batch(small_config(top_k=300))
+        # A config built directly skips parsing, and validation still rejects NaN.
+        with pytest.raises(ConfigValueError, match="noise_sigma"):
+            run_batch(small_config(noise_sigma=float("nan")))
 
 
 class TestSuccessProxy:
@@ -139,6 +141,9 @@ class TestAnalyticSpeedup:
             CostModel(verify_latency=0.0, draft_latency=0.001)
         with pytest.raises(ValueError):
             CostModel(verify_latency=0.01, draft_latency=-0.001)
+        for latencies in ((float("nan"), 0.001), (0.01, float("nan"))):
+            with pytest.raises(ValueError):
+                CostModel(*latencies)
         CostModel(verify_latency=0.01, draft_latency=0.0)  # free drafts allowed
 
 
@@ -233,20 +238,3 @@ class TestAggregateReport:
     def test_empty_stats_rejected(self):
         with pytest.raises(ValueError):
             aggregate([], small_config())
-
-
-class TestRunEpisode:
-    def test_wall_clock_positive(self):
-        config = small_config()
-        verifier, draft = build_models(config)
-        stats = run_episode(
-            verifier,
-            draft,
-            config.tree_params(),
-            AcceptancePolicy.strict(),
-            PrefixState(prompt_id="wc"),
-            14,
-            config.success_tolerance,
-        )
-        assert stats.wall_clock_per_token > 0
-        assert stats.steps == len(stats.outcomes)

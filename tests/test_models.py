@@ -19,6 +19,7 @@ from specdec.models import (
     MEMO_LIMIT,
     Distribution,
     HashVerifier,
+    NoisyDraft,
     PrefixState,
     TimedDraft,
     displacement_pmf,
@@ -26,7 +27,7 @@ from specdec.models import (
 )
 from specdec.verify import AcceptancePolicy, decode_episode
 
-from helpers import chain_q, random_tree
+from helpers import chain_q, random_tree, token_path
 
 
 def state_of(*tokens, prompt="p", obs="o") -> PrefixState:
@@ -48,6 +49,20 @@ def scratch_digest(seed, tag, prompt_id, observation_id, tokens):
 
 def chain_digest(state, tag, seed):
     return int.from_bytes(state._hash_state(tag + struct.pack("<q", seed)).digest(), "little")
+
+
+def record_draws(monkeypatch) -> list[tuple[int, Distribution]]:
+    """Every ``(key, distribution)`` score draw any ``HashVerifier`` makes."""
+    draws = []
+    draw = HashVerifier._draw
+
+    def recording(self, key):
+        dist = draw(self, key)
+        draws.append((key, dist))
+        return dist
+
+    monkeypatch.setattr(HashVerifier, "_draw", recording)
+    return draws
 
 
 HEADS = [(b"verifier", 7), (b"agree", 7), (b"displace", 3)]
@@ -139,20 +154,13 @@ class TestDigestChain:
 
 
 class TestHashVerifier:
-    def test_deterministic_per_seed_and_prefix(self):
-        v = HashVerifier(seed=3)
-        a = v.next(state_of(1, 2, 3))
-        b = v.next(state_of(1, 2, 3))
+    def test_deterministic_per_seed_and_prefix(self, monkeypatch):
+        draws = record_draws(monkeypatch)
+        a = HashVerifier(seed=3).next(state_of(1, 2, 3))
+        b = HashVerifier(seed=3).next(state_of(1, 2, 3))
         assert a.argmax == b.argmax
-        assert np.array_equal(a.scores, b.scores)
-
-    def test_distribution_is_normalized_with_unique_argmax(self):
-        v = HashVerifier(seed=11)
-        dist = v.next(state_of())
-        assert dist.scores.shape == (256,)
-        assert (dist.scores >= 0).all()
-        assert abs(dist.scores.sum() - 1.0) < 1e-9
-        assert (dist.scores == dist.scores[dist.argmax]).sum() == 1
+        # Both instances draw from the same key: the prefix digest.
+        assert [key for key, _ in draws] == [chain_digest(state_of(1, 2, 3), b"verifier", 3)] * 2
 
     def test_prefixes_differing_by_one_token_differ(self):
         v = HashVerifier(seed=5)
@@ -167,15 +175,20 @@ class TestHashVerifier:
             b = v.next(state_of(*swapped))
             if a.argmax != b.argmax:
                 differing += 1
-            assert not np.array_equal(a.scores, b.scores)
+            assert chain_digest(state_of(*tokens), b"verifier", 5) != chain_digest(
+                state_of(*swapped), b"verifier", 5
+            )
         # Two unrelated argmaxes collide with probability 1/256.
         assert differing > 950
 
-    def test_different_seeds_differ(self):
+    def test_different_seeds_differ(self, monkeypatch):
+        draws = record_draws(monkeypatch)
         s = state_of(9, 9)
-        assert HashVerifier(seed=1).next(s).argmax != HashVerifier(seed=2).next(s).argmax or (
-            not np.array_equal(HashVerifier(seed=1).next(s).scores, HashVerifier(seed=2).next(s).scores)
-        )
+        HashVerifier(seed=1).next(s)
+        HashVerifier(seed=2).next(s)
+        keys = [key for key, _ in draws]
+        assert keys == [chain_digest(s, b"verifier", 1), chain_digest(s, b"verifier", 2)]
+        assert keys[0] != keys[1]
 
     def test_rejects_bad_vocab(self):
         with pytest.raises(ValueError):
@@ -191,7 +204,7 @@ class TestDistribution:
         raw = np.array([0.8622755206430472, 0.8622755206430474, 0.8119451869563249])
         assert raw.argmax() == 1
         dist = Distribution.from_scores(raw)
-        assert dist.argmax == 0 == dist.scores.argmax()
+        assert dist.argmax == 0
 
     def test_scores_without_positive_mass_rejected(self):
         for raw in (np.zeros(4), np.full(4, np.nan)):
@@ -200,30 +213,41 @@ class TestDistribution:
 
 
 class TestVerifierBatch:
-    def test_single_node_tree_matches_next(self):
+    def test_single_node_tree_matches_next(self, monkeypatch):
         v = HashVerifier(seed=2)
         draft = make_noisy_draft(v, agreement_p=1.0, noise_sigma=1.0)
         state = state_of(4, 5)
         params = TreeParams(top_k=1, max_depth=1, max_nodes=1)
         tree = build_tree(state, draft, params, v.vocab_size)
         assert len(tree.nodes) == 1
-        result = v.batch(state, tree)
         extended = state.extend(tree.nodes[0].token)
-        assert np.array_equal(result.nodes[0].scores, v.next(extended).scores)
-        assert np.array_equal(result.root.scores, v.next(state).scores)
+        draws = record_draws(monkeypatch)
+        result = HashVerifier(seed=2).batch(state, tree)  # empty memo: every prefix is drawn
+        drawn = dict(draws)
+        assert result.nodes[0] is drawn[chain_digest(extended, b"verifier", 2)]
+        assert result.root is drawn[chain_digest(state, b"verifier", 2)]
+        assert len(draws) == 2
+        assert result.nodes[0].argmax == v.next(extended).argmax
+        assert result.root.argmax == v.next(state).argmax
 
-    def test_batch_equals_serial_recomputation(self):
+    def test_batch_equals_serial_recomputation(self, monkeypatch):
         """Oracle: walk each node's ancestor path and query next() serially."""
-        v = HashVerifier(seed=7)
+        draws = record_draws(monkeypatch)
         rng = np.random.default_rng(42)
         for _ in range(25):
+            v = HashVerifier(seed=7)  # an empty memo, so batch draws every prefix
             state = state_of(*rng.integers(0, 256, size=rng.integers(0, 5)))
             tree = random_tree(rng, max_nodes=30)
+            draws.clear()
             result = v.batch(state, tree)
+            drawn = dict(draws)
+            # Tree paths are distinct, so each prefix is its own draw.
+            assert len(drawn) == len(draws) == len(tree.nodes) + 1
+            assert result.root is drawn[chain_digest(state, b"verifier", 7)]
             for i in range(len(tree.nodes)):
-                serial = v.next(state.extend_many(tree.token_path(i)))
-                assert result.nodes[i].argmax == serial.argmax
-                assert np.array_equal(result.nodes[i].scores, serial.scores)
+                prefix = state.extend_many(token_path(tree, i))
+                assert result.nodes[i] is drawn[chain_digest(prefix, b"verifier", 7)]
+                assert result.nodes[i].argmax == v.next(prefix).argmax
 
     def test_max_budget_tree_yields_one_distribution_per_node(self):
         v = HashVerifier(seed=1)
@@ -304,7 +328,7 @@ class TestVerifierMemo:
         draft = make_noisy_draft(recording, 0.5, 6.0)
         tree = build_tree(state, draft, params, recording.vocab_size)
         prefixes = {state.emitted, *recording.prefixes}
-        prefixes.update(state.emitted + tree.token_path(i) for i in range(len(tree.nodes)))
+        prefixes.update(state.emitted + token_path(tree, i) for i in range(len(tree.nodes)))
 
         seeds = []
         pcg64 = np.random.PCG64
@@ -315,19 +339,22 @@ class TestVerifierMemo:
         assert len(outcomes) == 1
         assert len(seeds) == len(set(seeds)) == len(prefixes) > len(tree.nodes)
 
-    def test_memoized_scores_are_read_only(self):
+    def test_batch_serves_what_next_scored_from_the_memo(self):
         v = HashVerifier(seed=6)
         state = state_of(1, 2)
         tree = build_tree(
             state, make_noisy_draft(v, 0.5, 6.0), TreeParams(top_k=2, max_depth=2), v.vocab_size
         )
         first = v.next(state)
+        # The draft scored each depth-1 node's prefix when it expanded it.
+        expanded = {
+            i: v.next(state.extend(node.token))
+            for i, node in enumerate(tree.nodes)
+            if node.depth == 1
+        }
         result = v.batch(state, tree)
         assert result.root is first  # served from the memo
-        for dist in [result.root, *result.nodes]:
-            assert not dist.scores.flags.writeable
-            with pytest.raises(ValueError):
-                dist.scores[0] = 1.0
+        assert expanded and all(result.nodes[i] is dist for i, dist in expanded.items())
 
     def test_memo_is_bounded_without_batched_rounds(self):
         v = HashVerifier(seed=6)
@@ -420,8 +447,13 @@ class TestNoisyDraft:
         v = HashVerifier(seed=1)
         with pytest.raises(ValueError):
             make_noisy_draft(v, agreement_p=1.5, noise_sigma=1.0)
+        for sigma in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                make_noisy_draft(v, agreement_p=0.5, noise_sigma=sigma)
+            with pytest.raises(ValueError):
+                displacement_pmf(sigma, 256)
         with pytest.raises(ValueError):
-            make_noisy_draft(v, agreement_p=0.5, noise_sigma=0.0)
+            NoisyDraft(v, proposal_sigma=float("nan"))
 
 
 class TestDisplacementPmf:

@@ -8,14 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdec.action_space import bin_distance, detokenize
-from specdec.draft_tree import ROOT, DraftNode, DraftTree, TreeParams, TreeStructureError, build_tree
+from specdec.draft_tree import (
+    ROOT,
+    DraftNode,
+    DraftTree,
+    TreeParams,
+    TreeStructureError,
+    build_tree,
+    enumerate_paths,
+)
 from specdec.models import HashVerifier, PrefixState, make_noisy_draft
 from specdec.verify import (
     AcceptancePolicy,
     accept_token,
     ar_decode,
     decode_episode,
-    verify_path,
     verify_tree,
 )
 
@@ -138,24 +145,34 @@ class TestAcceptToken:
             AcceptancePolicy.relaxed(3, per_dimension_r=[1, 2, 3])
 
 
+def chain_tree(tokens) -> DraftTree:
+    """A single root-to-leaf path: node ``i`` holds ``tokens[i]``."""
+    nodes = tuple(
+        DraftNode(token=t, parent=ROOT if i == 0 else i - 1, depth=i + 1, cum_score=-0.1 * (i + 1))
+        for i, t in enumerate(tokens)
+    )
+    size = len(nodes)
+    return DraftTree(nodes=nodes, params=TreeParams(top_k=1, max_depth=size, max_nodes=size))
+
+
 class TestVerifyPath:
+    """A chain tree through ``verify_tree`` is a scan of one draft path."""
+
     def test_relaxed_trace_example(self):
-        accepted, token = verify_path(
-            [128, 128, 109], [137, 128, 109, 98], AcceptancePolicy.relaxed(9)
+        outcome = verify_tree(
+            chain_tree([128, 128, 109]), [137, 128, 109, 98], AcceptancePolicy.relaxed(9)
         )
-        assert accepted == 3
-        assert token == 98  # bonus: the whole path was accepted
+        assert outcome.accepted == 3
+        assert outcome.emitted == (128, 128, 109, 98)
+        assert outcome.bonus_used  # the whole path was accepted
 
     def test_strict_trace_example(self):
-        accepted, token = verify_path(
-            [128, 128, 109], [137, 128, 109, 98], AcceptancePolicy.strict()
+        outcome = verify_tree(
+            chain_tree([128, 128, 109]), [137, 128, 109, 98], AcceptancePolicy.strict()
         )
-        assert accepted == 0
-        assert token == 137  # correction at the first mismatch
-
-    def test_requires_one_extra_argmax(self):
-        with pytest.raises(TreeStructureError):
-            verify_path([1, 2, 3], [1, 2, 3], AcceptancePolicy.strict())
+        assert outcome.accepted == 0
+        assert outcome.emitted == (137,)
+        assert not outcome.bonus_used  # correction at the first mismatch
 
     def test_fuzz_matches_reference_scan(self):
         """10k fuzzed (path, verifier, policy) triples vs an independent loop."""
@@ -176,7 +193,8 @@ class TestVerifyPath:
                 overrides = [int(t) for t in rng.integers(0, 16, size=7)]
                 policy = AcceptancePolicy.relaxed(5, per_dimension_r=overrides)
                 r_for_dim = lambda dim, o=overrides: o[dim]
-            assert verify_path(path, verified, policy, start) == reference_verify_path(
+            outcome = verify_tree(chain_tree(path), verified, policy, start)
+            assert (outcome.accepted, outcome.emitted[-1]) == reference_verify_path(
                 path, verified, r_for_dim, start
             )
 
@@ -187,20 +205,13 @@ def constant_params(tree: DraftTree) -> TreeParams:
 
 class TestVerifyTree:
     def test_single_path_tree_equals_verify_path(self):
-        nodes = (
-            DraftNode(token=40, parent=ROOT, depth=1, cum_score=-0.1),
-            DraftNode(token=40, parent=0, depth=2, cum_score=-0.2),
-            DraftNode(token=77, parent=1, depth=3, cum_score=-0.3),
-        )
-        tree = DraftTree(nodes=nodes, params=TreeParams(top_k=1, max_depth=3, max_nodes=10))
         verified = [40, 40, 60, 3]  # distance 17 rejects the third token
-        policy = AcceptancePolicy.relaxed(7)
-        outcome = verify_tree(tree, verified, policy)
-        accepted, token = verify_path([40, 40, 77], [40, 40, 60, 3], policy)
+        outcome = verify_tree(chain_tree([40, 40, 77]), verified, AcceptancePolicy.relaxed(7))
+        accepted, token = reference_verify_path([40, 40, 77], verified, lambda dim: 7, 0)
         assert outcome.accepted == accepted == 2
         assert outcome.emitted == (40, 40, 60)
         assert outcome.emitted[-1] == token
-        assert outcome.correction_used and not outcome.bonus_used
+        assert not outcome.bonus_used
 
     def test_longest_accepted_path_wins(self):
         # Path A: tokens [10, 11] accepts 1; path B: [20, 21, 22] accepts 3.
@@ -221,13 +232,13 @@ class TestVerifyTree:
         for node_path in paths:
             tokens = [tree.nodes[j].token for j in node_path]
             argmaxes = [verified[0]] + [verified[j + 1] for j in node_path]
-            lengths.append(verify_path(tokens, argmaxes, policy)[0])
+            lengths.append(reference_verify_path(tokens, argmaxes, lambda dim: 5, 0)[0])
         assert lengths == [1, 3]
 
         outcome = verify_tree(tree, verified, policy)
         assert outcome.accepted == 3
         assert outcome.emitted == (20, 21, 22, 55)
-        assert outcome.bonus_used and not outcome.correction_used
+        assert outcome.bonus_used
 
     def test_size_mismatch_is_structural_error(self):
         tree = DraftTree(
@@ -239,8 +250,6 @@ class TestVerifyTree:
 
     def test_fuzz_matches_enumeration_oracle(self):
         """Chosen path equals exhaustive enumerate+verify per path."""
-        from specdec.draft_tree import enumerate_paths
-
         rng = np.random.default_rng(12)
         for _ in range(300):
             tree = random_tree(rng, max_nodes=50)
@@ -254,7 +263,7 @@ class TestVerifyTree:
             for idx, node_path in enumerate(enumerate_paths(tree)):
                 tokens = [tree.nodes[j].token for j in node_path]
                 argmaxes = [verified[0]] + [verified[j + 1] for j in node_path]
-                accepted, nxt = verify_path(tokens, argmaxes, policy, start)
+                accepted, nxt = reference_verify_path(tokens, argmaxes, lambda dim: r, start)
                 if best is None or accepted > best[0]:
                     best = (accepted, idx, tokens[:accepted] + [nxt])
             assert outcome.accepted == best[0]
@@ -269,7 +278,9 @@ class TestVerifyTree:
             outcome = verify_tree(tree, verified, AcceptancePolicy.relaxed(6))
             assert 1 <= len(outcome.emitted) <= tree.params.max_depth + 1
             assert len(outcome.emitted) == outcome.accepted + 1
-            assert outcome.correction_used != outcome.bonus_used
+            # The verifier token is a bonus exactly when the whole path passed.
+            leaf_depth = len(enumerate_paths(tree)[outcome.chosen_path])
+            assert outcome.bonus_used == (outcome.accepted == leaf_depth)
 
     def test_accepted_length_monotone_in_r(self):
         rng = np.random.default_rng(14)
@@ -427,7 +438,7 @@ class TestDecodeEpisode:
         for outcome in outcomes:
             assert outcome.accepted == 0 and outcome.chosen_path == 0
             assert outcome.emitted == outcome.reference and len(outcome.emitted) == 1
-            assert outcome.bonus_used and not outcome.correction_used
+            assert outcome.bonus_used
 
     def test_relaxed_soundness_on_policy(self):
         verifier, draft = models_for(44, agreement_p=0.4, noise_sigma=5.0)

@@ -58,8 +58,8 @@ class DimensionBounds:
 
     @classmethod
     def from_pairs(cls, pairs: list[list[float]] | list[tuple[float, float]]) -> DimensionBounds:
-        if len(pairs) != CHUNK_SIZE:
-            raise ValueError(f"expected {CHUNK_SIZE} [low, high] pairs, got {len(pairs)}")
+        if len(pairs) != CHUNK_SIZE or any(len(p) != 2 for p in pairs):
+            raise ValueError(f"expected {CHUNK_SIZE} [low, high] pairs, got {pairs!r}")
         return cls(
             low=tuple(float(p[0]) for p in pairs),
             high=tuple(float(p[1]) for p in pairs),

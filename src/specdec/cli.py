@@ -20,8 +20,14 @@ import sys
 from . import report as report_mod
 from .action_space import CHUNK_SIZE, detokenize
 from .config import ConfigError, ConfigValueError, RunConfig, parse_config
-from .harness import build_models, measure_speedup, run_batch, run_episode, policy_for_r
-from .models import PrefixState
+from .harness import (
+    _episode_state,
+    build_models,
+    measure_speedup,
+    policy_for_r,
+    run_batch,
+    run_episode,
+)
 from .report import (
     SCHEMA_VERSION,
     AblationReport,
@@ -108,7 +114,7 @@ def _cmd_decode(config: RunConfig) -> int:
         draft,
         config.tree_params(),
         policy,
-        PrefixState(prompt_id="ep000000", observation_id="obs000000"),
+        _episode_state(0),
         config.target_length,
         config.success_tolerance,
     )

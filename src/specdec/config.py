@@ -185,6 +185,14 @@ def _as_int(value) -> int:
     return int(value)
 
 
+def _as_float(value) -> float:
+    """A finite number that is not a bool or a string, as a float."""
+    # ``json`` reads NaN and Infinity; neither is a usable setting.
+    if isinstance(value, (bool, str)) or not math.isfinite(value := float(value)):
+        raise ValueError
+    return value
+
+
 def _coerce(key: str, value):
     if value is None and key in ("per_dimension_r", "verify_latency", "draft_latency", "out"):
         return None
@@ -192,17 +200,14 @@ def _coerce(key: str, value):
         if key in _INT_KEYS:
             return _as_int(value)
         if key in _FLOAT_KEYS:
-            # ``json`` reads NaN and Infinity; neither is a usable setting.
-            if not math.isfinite(value := float(value)):
-                raise ValueError
-            return value
+            return _as_float(value)
         if key in ("r_values", "per_dimension_r"):
             # A JSON list; flag overrides pass a tuple.
             if not isinstance(value, (list, tuple)):
                 raise ValueError
             return tuple(_as_int(t) for t in value)
         if key == "dimension_bounds":
-            return DimensionBounds.from_pairs(value)
+            return DimensionBounds.from_pairs([[_as_float(x) for x in pair] for pair in value])
         if key == "measure_speedup":
             if not isinstance(value, bool):
                 raise ValueError

@@ -1,25 +1,25 @@
 """Dynamic draft tree: budgeted top-k expansion, validation and path enumeration.
 
 The tree grows level by level.  At each depth every surviving frontier node
-is expanded with the draft model's top-k proposals, then *all* nodes grown
-so far compete for the node budget: they are ranked by cumulative log-score
-and only the best ``max_nodes`` survive.  Because a child's cumulative score
-never exceeds its parent's, the surviving set is automatically closed under
-parents, and the final node list doubles as a topological order.
+is expanded with the draft model's top-k proposals, the level's children
+are merged into the survivors by cumulative log-score, and only the best
+``max_nodes`` survive.  Because a child's cumulative score never exceeds its
+parent's, the surviving set is automatically closed under parents, and the
+final node list doubles as a topological order.
 
 A level's proposals are read one frontier node at a time, best-ranked node
 first, from the iterable ``DraftModel.propose_many`` returns.  Reading stops
 at the first frontier node that ``max_nodes`` candidates already outrank
-(nodes kept from earlier levels, and children read so far).  That cut is
+(survivors of earlier levels, and children read so far).  That cut is
 exact: the node cannot survive this level, its children rank after it, and
 every later frontier node ranks after it too, so none of the unread
 proposals could have entered the tree.  A lazy draft thus never scores the
-states of cut nodes.
+states of cut nodes.  Chains and trees take the same path.
 """
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -64,12 +64,12 @@ class DraftTree:
     params: TreeParams
 
     def validate(self) -> None:
-        seen_paths: set[tuple[int, ...]] = set()
-        paths: list[tuple[int, ...]] = []
         if len(self.nodes) > self.params.max_nodes:
             raise TreeStructureError(
                 f"{len(self.nodes)} nodes exceed budget {self.params.max_nodes}"
             )
+        # Parents come first, so a repeated root path is a repeated (parent, token).
+        seen: set[tuple[int, int]] = set()
         for i, node in enumerate(self.nodes):
             if node.parent != ROOT and not 0 <= node.parent < i:
                 raise TreeStructureError(
@@ -80,11 +80,9 @@ class DraftTree:
                 raise TreeStructureError(f"node {i} depth {node.depth} != {expected_depth}")
             if node.depth > self.params.max_depth:
                 raise TreeStructureError(f"node {i} exceeds max depth {self.params.max_depth}")
-            path = (node.token,) if node.parent == ROOT else paths[node.parent] + (node.token,)
-            if path in seen_paths:
-                raise TreeStructureError(f"duplicate token path {path}")
-            seen_paths.add(path)
-            paths.append(path)
+            if (node.parent, node.token) in seen:
+                raise TreeStructureError(f"node {i} repeats a sibling's token {node.token}")
+            seen.add((node.parent, node.token))
 
 
 def build_tree(
@@ -98,12 +96,11 @@ def build_tree(
     """
     # Each candidate is stored as its rank key (-cum_score, depth, path): best
     # score first, then shallower, then lexicographic token path.  Fully
-    # structural, so builds and oracles agree on ties.  Survivors are
-    # re-selected from the full pool after every level.  Log-scores are
-    # checked finite and <= 0, so a child's key sorts after its parent's and
-    # every prefix of the ranking is closed under parents.
-    selected: dict[tuple[int, ...], tuple[float, int, tuple[int, ...]]] = {}
-    # Nodes to expand next, best first, as (rank among selected, key).
+    # structural, so builds and oracles agree on ties.  Log-scores are checked
+    # finite and <= 0, so a child's key sorts after its parent's and every
+    # prefix of the ranking is closed under parents.
+    ranked: list[tuple[float, int, tuple[int, ...]]] = []  # survivors, in rank order
+    # Nodes to expand next, best first, as (rank in ``ranked``, key).
     frontier = [(0, (0.0, 0, ()))]
 
     for depth in range(1, params.max_depth + 1):
@@ -112,25 +109,19 @@ def build_tree(
         # Every tree state is one link from ``state`` in its digest chain.
         states = [state.extend_many(key[2]) if depth > 1 else state for _, key in frontier]
         proposals = iter(draft.propose_many(states, params.top_k))
-        # A frontier node that ``max_nodes`` candidates outrank is cut this
-        # level, and so are its children and every later frontier node: stop
-        # reading there.  Only a pool that outgrows the budget can cut one.
-        may_cut = len(selected) + params.top_k * len(frontier) > params.max_nodes
-        children: list[tuple[float, int, tuple[int, ...]]] = []  # min-heap of read children
-        outranking = 0  # read children that rank ahead of the current frontier node
+        children: list[tuple[float, int, tuple[int, ...]]] = []  # read so far, sorted
 
         for rank, key in frontier:
-            if may_cut:
-                while children and children[0] < key:
-                    heapq.heappop(children)
-                    outranking += 1
-                if rank + outranking >= params.max_nodes:
-                    break
+            # Stop at the first frontier node that ``max_nodes`` candidates
+            # outrank: it, its children and every later frontier node are cut.
+            if rank + bisect.bisect_left(children, key) >= params.max_nodes:
+                break
             props = next(proposals, None)
             if props is None:  # fewer lists than states: the rest propose nothing
                 break
             path = key[2]
             base = -key[0] if path else 0.0
+            siblings: set[int] = set()
             for token, logp in props:
                 if not 0 <= token < vocab_size:
                     raise TreeStructureError(
@@ -142,21 +133,18 @@ def build_tree(
                     raise TreeStructureError(
                         f"draft log-score {logp} for token {token} is not finite and <= 0"
                     )
-                child = path + (token,)
-                if child in selected:
+                if token in siblings:
                     raise TreeStructureError(f"draft proposed token {token} twice under {path}")
-                selected[child] = child_key = (-(base + logp), depth, child)
-                if may_cut:
-                    heapq.heappush(children, child_key)
+                siblings.add(token)
+                bisect.insort(children, (-(base + logp), depth, path + (token,)))
 
-        # In rank order, which the node list keeps.
-        ranked = sorted(selected.values())[: params.max_nodes]
-        selected = {key[2]: key for key in ranked}
+        # Both lists are sorted runs, so this sort is one linear merge.
+        ranked = sorted(ranked + children)[: params.max_nodes]
         frontier = [(rank, key) for rank, key in enumerate(ranked) if key[1] == depth]
 
     index_of: dict[tuple[int, ...], int] = {}
     nodes: list[DraftNode] = []
-    for neg_cum, d, path in selected.values():
+    for neg_cum, d, path in ranked:
         parent = ROOT if len(path) == 1 else index_of[path[:-1]]
         index_of[path] = len(nodes)
         nodes.append(DraftNode(token=path[-1], parent=parent, depth=d, cum_score=-neg_cum))

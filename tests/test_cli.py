@@ -92,6 +92,9 @@ class TestParseConfig:
         for payload in (
             {"episodes": "many"},
             {"agreement_p": "high"},
+            # Float keys follow the integer rule: no bools, no strings.
+            {"agreement_p": True},
+            {"noise_sigma": "6"},
             {"measure_speedup": 1},
             # ``json`` reads NaN and Infinity.
             {"noise_sigma": nan},
@@ -101,6 +104,10 @@ class TestParseConfig:
             {"verify_latency": 0.02, "draft_latency": inf},
             {"episodes": inf},
             {"dimension_bounds": [[-inf, inf]] + [[-1.0, 1.0]] * 6},
+            # Each bound is exactly ``[low, high]``, two numbers.
+            {"dimension_bounds": [[-1]] + [[-1.0, 1.0]] * 6},
+            {"dimension_bounds": [[-1, 1, 99]] + [[-1.0, 1.0]] * 6},
+            {"dimension_bounds": [["-1", "1"], [True, 2]] + [[-1.0, 1.0]] * 5},
             # List elements follow the integer rule, in a JSON list.
             {"r_values": "039"},
             {"r_values": {"0": 1}},

@@ -158,7 +158,7 @@ class TestBuildTree:
         scores = (0.0, -1e-300, -0.5, -1.0, -40.0, -1e6, -1e300)
         for seed in range(6):
             draft = TiedDraft(seed, scores)
-            for top_k, max_depth in ((2, 4), (3, 3), (6, 2)):
+            for top_k, max_depth in ((2, 4), (3, 3), (6, 2), (1, 4)):
                 for max_nodes in range(1, 31):
                     params = TreeParams(top_k=top_k, max_depth=max_depth, max_nodes=max_nodes)
                     state = PrefixState(prompt_id=f"eager{seed}")
@@ -290,6 +290,21 @@ class TestValidate:
         tree = DraftTree(nodes=nodes, params=TreeParams(top_k=2, max_depth=2, max_nodes=50))
         with pytest.raises(TreeStructureError):
             tree.validate()
+        # Below the root: a repeat under one parent fails, the same token
+        # under two parents is two distinct paths.
+        for parents, valid in (((0, 0), False), ((0, 1), True)):
+            nodes = (
+                DraftNode(token=5, parent=ROOT, depth=1, cum_score=-0.1),
+                DraftNode(token=6, parent=ROOT, depth=1, cum_score=-0.2),
+                DraftNode(token=7, parent=parents[0], depth=2, cum_score=-0.3),
+                DraftNode(token=7, parent=parents[1], depth=2, cum_score=-0.4),
+            )
+            tree = DraftTree(nodes=nodes, params=TreeParams(top_k=2, max_depth=2, max_nodes=50))
+            if valid:
+                tree.validate()
+            else:
+                with pytest.raises(TreeStructureError, match="repeats"):
+                    tree.validate()
 
 
 class TestEnumeratePaths:

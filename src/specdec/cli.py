@@ -17,9 +17,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import report as report_mod
 from .action_space import CHUNK_SIZE, detokenize
-from .config import ConfigError, ConfigValueError, RunConfig, parse_config
+from .config import REPORT_FORMATS, ConfigError, ConfigValueError, RunConfig, parse_config
 from .harness import (
     _episode_state,
     build_models,
@@ -29,12 +28,26 @@ from .harness import (
     run_episode,
 )
 from .report import (
-    SCHEMA_VERSION,
-    AblationReport,
     Report,
     aggregate,
+    render_ablation_csv,
+    render_ablation_json,
+    render_ablation_table,
+    render_csv,
+    render_json,
+    render_table,
     validate_report,
 )
+
+# The renderer for each command's report, by ``--format``.
+_RENDERERS = {
+    "bench": {"json": render_json, "csv": render_csv, "table": render_table},
+    "ablate": {
+        "json": render_ablation_json,
+        "csv": render_ablation_csv,
+        "table": render_ablation_table,
+    },
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-nodes", type=int, dest="max_nodes", help="draft tree node budget")
         p.add_argument("--episodes", type=int, help="episodes per policy")
         p.add_argument("--length", type=int, dest="target_length", help="tokens per episode")
-        p.add_argument("--format", choices=("json", "csv", "table"), help="report format")
+        p.add_argument("--format", choices=REPORT_FORMATS, help="report format")
         p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
     return parser
 
@@ -92,18 +105,13 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def run_ablation(config: RunConfig) -> AblationReport:
-    """Run the batch for every threshold and distill the sweep curve."""
+def run_ablation(config: RunConfig) -> Report:
+    """Run the batch for every threshold; report rows follow ``r_values``."""
     if len(config.r_values) < 2:
         raise ConfigValueError("ablation needs at least 2 r values to sweep")
-    stats = run_batch(config)
-    rep = aggregate(stats, config)
+    rep = aggregate(run_batch(config), config)
     validate_report(rep)
-    by_r = {row.r: row for row in rep.policies}
-    rows = tuple(
-        (r, by_r[r].tokens_per_pass, by_r[r].success_rate) for r in config.r_values
-    )
-    return AblationReport(schema_version=SCHEMA_VERSION, config=config.to_json_dict(), rows=rows)
+    return rep
 
 
 def _cmd_decode(config: RunConfig) -> int:
@@ -154,14 +162,6 @@ def _cmd_decode(config: RunConfig) -> int:
     return 0
 
 
-def _render_report(report: Report, fmt: str) -> str:
-    if fmt == "json":
-        return report_mod.render_json(report)
-    if fmt == "csv":
-        return report_mod.render_csv(report)
-    return report_mod.render_table(report)
-
-
 def _cmd_bench(config: RunConfig) -> int:
     stats = run_batch(config)
     measurements = {}
@@ -174,19 +174,12 @@ def _cmd_bench(config: RunConfig) -> int:
     except ValueError as exc:
         sys.stderr.write(f"report identity check failed: {exc}\n")
         return 1
-    _emit(_render_report(rep, config.format), config.out)
+    _emit(_RENDERERS["bench"][config.format](rep), config.out)
     return 0
 
 
 def _cmd_ablate(config: RunConfig) -> int:
-    rep = run_ablation(config)
-    if config.format == "json":
-        text = report_mod.render_ablation_json(rep)
-    elif config.format == "csv":
-        text = report_mod.render_ablation_csv(rep)
-    else:
-        text = report_mod.render_ablation_table(rep)
-    _emit(text, config.out)
+    _emit(_RENDERERS["ablate"][config.format](run_ablation(config)), config.out)
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .action_space import CHUNK_SIZE, DimensionBounds
 from .models import MAX_VOCAB_SIZE
@@ -98,6 +98,11 @@ class RunConfig:
                 raise ConfigValueError(f"per_dimension_r must list {CHUNK_SIZE} thresholds")
             if any(t < 0 for t in self.per_dimension_r):
                 raise ConfigValueError("per-dimension thresholds must be >= 0")
+            if sum(1 for r in self.r_values if r) > 1:
+                raise ConfigValueError(
+                    "per_dimension_r overrides every nonzero threshold, so r_values may "
+                    f"hold at most one nonzero threshold, got {self.r_values}"
+                )
         if self.episodes < 1:
             raise ConfigValueError("episodes must be >= 1")
         if self.target_length < 1 or self.target_length % CHUNK_SIZE != 0:
@@ -133,49 +138,19 @@ class RunConfig:
         return CostModel(verify_latency=self.verify_latency, draft_latency=self.draft_latency)
 
     def to_json_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "dimension_bounds": self.dimension_bounds.as_pairs(),
-            "seed": self.seed,
-            "agreement_p": self.agreement_p,
-            "noise_sigma": self.noise_sigma,
-            "top_k": self.top_k,
-            "tree_depth": self.tree_depth,
-            "max_nodes": self.max_nodes,
-            "r_values": list(self.r_values),
-            "per_dimension_r": list(self.per_dimension_r) if self.per_dimension_r else None,
-            "episodes": self.episodes,
-            "target_length": self.target_length,
-            "success_tolerance": self.success_tolerance,
-            "verify_latency": self.verify_latency,
-            "draft_latency": self.draft_latency,
-            "measure_speedup": self.measure_speedup,
-            "workers": self.workers,
-            "report_positions": self.report_positions,
-        }
+        """The settings a report echoes: every field except the output ones."""
+        echo = {f.name: getattr(self, f.name) for f in fields(self)}
+        del echo["format"], echo["out"]
+        echo["dimension_bounds"] = self.dimension_bounds.as_pairs()
+        return echo
 
 
-_INT_KEYS = {
-    "vocab_size",
-    "seed",
-    "top_k",
-    "tree_depth",
-    "max_nodes",
-    "episodes",
-    "target_length",
-    "success_tolerance",
-    "workers",
-    "report_positions",
-}
-_FLOAT_KEYS = {"agreement_p", "noise_sigma", "verify_latency", "draft_latency"}
-_KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | {
-    "dimension_bounds",
-    "r_values",
-    "per_dimension_r",
-    "measure_speedup",
-    "format",
-    "out",
-}
+_KNOWN_KEYS = {f.name for f in fields(RunConfig)}
+# Values are read by their fields' declared types, which are strings under
+# ``from __future__ import annotations``.
+_INT_KEYS = {f.name for f in fields(RunConfig) if f.type == "int"}
+_FLOAT_KEYS = {f.name for f in fields(RunConfig) if f.type in ("float", "float | None")}
+_NULLABLE_KEYS = {f.name for f in fields(RunConfig) if f.type.endswith(" | None")}
 
 
 def _as_int(value) -> int:
@@ -194,7 +169,7 @@ def _as_float(value) -> float:
 
 
 def _coerce(key: str, value):
-    if value is None and key in ("per_dimension_r", "verify_latency", "draft_latency", "out"):
+    if value is None and key in _NULLABLE_KEYS:
         return None
     try:
         if key in _INT_KEYS:

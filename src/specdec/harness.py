@@ -1,11 +1,9 @@
-"""Batch episode runner: acceptance statistics, success proxy, and speedup.
+"""Batch episode runner: seeded episodes, success proxy, and speedup.
 
 Episodes are seeded and independent, so a batch is reproducible from the
-master seed alone.  Statistics mirror the usual speculative-decoding
-accounting: a histogram of draft-acceptance lengths per verification step
-(minimum 0, the verifier token is counted separately), per-start-position
-averages over the 7-token action frame, and tokens-per-pass (histogram mean
-plus the one verifier token).
+master seed alone.  Each episode keeps its verification outcomes and the
+position it started from; ``report.aggregate`` derives the acceptance
+histogram and per-position averages from those outcomes.
 
 Task success needs a robot simulator, which is out of scope here.  As a
 surrogate, an episode "succeeds" when every emitted token stays within a
@@ -49,21 +47,23 @@ class CostModel:
 
 @dataclass(frozen=True)
 class EpisodeStats:
-    """Per-episode acceptance statistics for one policy."""
+    """One decoded episode for one policy: its outcomes and success."""
 
     mode: str
     r: int
     episode: int
+    start_position: int  # tokens emitted before the first step
     outcomes: tuple[VerifyOutcome, ...]
-    histogram: tuple[int, ...]  # index = draft tokens accepted in a step
-    position_sums: tuple[int, ...]  # accepted totals keyed by start position mod 7
-    position_counts: tuple[int, ...]
-    tokens_per_pass: float  # 1 + histogram mean, exact
     success: bool
 
     @property
     def steps(self) -> int:
         return len(self.outcomes)
+
+    @property
+    def tokens_per_pass(self) -> float:
+        """One verifier token plus the mean draft tokens accepted per step."""
+        return 1.0 + sum(o.accepted for o in self.outcomes) / self.steps
 
 
 def policy_for_r(r: int, per_dimension_r: Sequence[int] | None = None) -> AcceptancePolicy:
@@ -96,37 +96,16 @@ def run_episode(
     success_tolerance: int,
     episode: int = 0,
 ) -> EpisodeStats:
-    """Decode one episode and fold its outcomes into summary statistics."""
+    """Decode one episode and check its tokens against the verifier's reference."""
     tokens, outcomes = decode_episode(state, verifier, draft, params, policy, length)
-
-    histogram = [0] * (params.max_depth + 1)
-    position_sums = [0] * CHUNK_SIZE
-    position_counts = [0] * CHUNK_SIZE
-    position = state.position
-    reference: list[int] = []
-    for outcome in outcomes:
-        if outcome.accepted > params.max_depth:
-            raise RuntimeError(
-                f"accepted length {outcome.accepted} exceeds tree depth {params.max_depth}"
-            )
-        histogram[outcome.accepted] += 1
-        position_sums[position % CHUNK_SIZE] += outcome.accepted
-        position_counts[position % CHUNK_SIZE] += 1
-        position += len(outcome.emitted)
-        reference.extend(outcome.reference)
-
-    steps = len(outcomes)
-    mean_accepted = sum(i * c for i, c in enumerate(histogram)) / steps
+    reference = [t for outcome in outcomes for t in outcome.reference][: len(tokens)]
     return EpisodeStats(
         mode=policy.mode,
         r=policy.r,
         episode=episode,
+        start_position=state.position,
         outcomes=tuple(outcomes),
-        histogram=tuple(histogram),
-        position_sums=tuple(position_sums),
-        position_counts=tuple(position_counts),
-        tokens_per_pass=1.0 + mean_accepted,
-        success=success_proxy(tokens, tuple(reference[: len(tokens)]), success_tolerance),
+        success=success_proxy(tokens, reference, success_tolerance),
     )
 
 

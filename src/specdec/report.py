@@ -1,5 +1,9 @@
 """Aggregated reports: one row per policy, rendered as JSON, CSV, or text.
 
+Each row is pooled from the episodes' outcomes: a histogram of draft tokens
+accepted per verification step, mean acceptance by start position in the
+7-token frame, and tokens per pass (histogram mean plus the verifier token).
+
 Outputs are byte-stable for a fixed config and master seed: no timestamps,
 fixed float formatting, sorted JSON keys.  Wall-clock figures only appear
 when a latency measurement was explicitly requested, since timing and
@@ -10,8 +14,9 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
+from .action_space import CHUNK_SIZE
 from .config import RunConfig
 from .harness import EpisodeStats, SpeedupMeasurement, analytic_speedup
 
@@ -62,18 +67,24 @@ def aggregate(
     for stat in stats:
         by_policy.setdefault((stat.mode, stat.r), []).append(stat)
 
+    depth = config.tree_depth
     rows = []
     for (mode, r), group in by_policy.items():
-        depth = len(group[0].histogram) - 1
         histogram = [0] * (depth + 1)
-        position_sums = [0] * len(group[0].position_sums)
-        position_counts = [0] * len(group[0].position_counts)
+        position_sums = [0] * CHUNK_SIZE
+        position_counts = [0] * CHUNK_SIZE
         for stat in group:
-            for i, count in enumerate(stat.histogram):
-                histogram[i] += count
-            for i in range(len(position_sums)):
-                position_sums[i] += stat.position_sums[i]
-                position_counts[i] += stat.position_counts[i]
+            position = stat.start_position
+            for outcome in stat.outcomes:
+                if outcome.accepted > depth:
+                    raise ValueError(
+                        f"episode {stat.episode} (r={r}): accepted length "
+                        f"{outcome.accepted} exceeds tree depth {depth}"
+                    )
+                histogram[outcome.accepted] += 1
+                position_sums[position % CHUNK_SIZE] += outcome.accepted
+                position_counts[position % CHUNK_SIZE] += 1
+                position += len(outcome.emitted)
 
         steps = sum(histogram)
         mean_accepted = sum(i * c for i, c in enumerate(histogram)) / steps
@@ -126,19 +137,6 @@ def validate_report(report: Report) -> None:
             raise ValueError(f"policy r={row.r}: histogram does not sum to step count")
 
 
-def _measurement_dict(m: SpeedupMeasurement) -> dict:
-    return {
-        "measured": m.measured,
-        "analytic": m.analytic,
-        "ar_seconds": m.ar_seconds,
-        "sd_seconds": m.sd_seconds,
-        "tokens_per_pass": m.tokens_per_pass,
-        "tokens": m.tokens,
-        "reliable": m.reliable,
-        "note": m.note,
-    }
-
-
 def render_json(report: Report) -> str:
     payload = {
         "schema_version": report.schema_version,
@@ -157,7 +155,7 @@ def render_json(report: Report) -> str:
                 "tokens_per_pass": row.tokens_per_pass,
                 "success_rate": row.success_rate,
                 "estimated_speedup": row.estimated_speedup,
-                "measured_speedup": _measurement_dict(row.measured) if row.measured else None,
+                "measured_speedup": asdict(row.measured) if row.measured else None,
             }
             for row in report.policies
         ],
@@ -221,36 +219,28 @@ def render_table(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class AblationReport:
-    """Threshold sweep: one (r, tokens_per_pass, success_rate) row per policy."""
-
-    schema_version: int
-    config: dict
-    rows: tuple[tuple[int, float, float], ...]
-
-
-def render_ablation_json(report: AblationReport) -> str:
+def render_ablation_json(report: Report) -> str:
     payload = {
         "schema_version": report.schema_version,
         "config": report.config,
         "sweep": [
-            {"r": r, "tokens_per_pass": tpp, "success_rate": sr} for r, tpp, sr in report.rows
+            {"r": row.r, "tokens_per_pass": row.tokens_per_pass, "success_rate": row.success_rate}
+            for row in report.policies
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def render_ablation_csv(report: AblationReport) -> str:
+def render_ablation_csv(report: Report) -> str:
     out = io.StringIO()
     out.write("r,tokens_per_pass,success_rate\n")
-    for r, tpp, sr in report.rows:
-        out.write(f"{r},{tpp:.6f},{sr:.6f}\n")
+    for row in report.policies:
+        out.write(f"{row.r},{row.tokens_per_pass:.6f},{row.success_rate:.6f}\n")
     return out.getvalue()
 
 
-def render_ablation_table(report: AblationReport) -> str:
+def render_ablation_table(report: Report) -> str:
     lines = ["    r  tokens/pass  success_rate"]
-    for r, tpp, sr in report.rows:
-        lines.append(f"{r:>5}  {tpp:>11.4f}  {sr:>12.4f}")
+    for row in report.policies:
+        lines.append(f"{row.r:>5}  {row.tokens_per_pass:>11.4f}  {row.success_rate:>12.4f}")
     return "\n".join(lines) + "\n"

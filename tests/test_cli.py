@@ -118,6 +118,13 @@ class TestParseConfig:
             {"per_dimension_r": "0000000"},
             {"per_dimension_r": [9, 9, 9, 9, 9, 9, False]},
             {"r_values": [3, 3]},
+            # Per-dimension thresholds override every nonzero r alike.
+            {
+                "per_dimension_r": [9, 9, 9, 9, 9, 9, 0],
+                "r_values": [0, 3, 9],
+                "episodes": 4,
+                "target_length": 28,
+            },
         ):
             path = write_config(tmp_path, payload)
             with pytest.raises(ConfigValueError):
@@ -133,11 +140,11 @@ class TestRunAblation:
             {"r_values": (0, 9), "episodes": 12, "target_length": 28, "top_k": 1},
         )
         report = run_ablation(config)
-        assert len(report.rows) == 2
-        (r0, tpp0, sr0), (r9, tpp9, sr9) = report.rows
-        assert (r0, r9) == (0, 9)
-        assert tpp9 >= tpp0
-        assert sr0 == 1.0
+        assert len(report.policies) == 2
+        row0, row9 = report.policies
+        assert (row0.r, row9.r) == (0, 9)
+        assert row9.tokens_per_pass >= row0.tokens_per_pass
+        assert row0.success_rate == 1.0
 
     def test_single_threshold_rejected(self):
         config = parse_config(None, {"r_values": (9,), "episodes": 1, "target_length": 14})

@@ -11,6 +11,7 @@ import hashlib
 
 import pytest
 
+from specdec.cli import main
 from specdec.config import RunConfig
 from specdec.harness import run_batch
 from specdec.report import aggregate, render_json
@@ -43,3 +44,36 @@ def test_seeded_run_matches_pinned_digests(overrides, tokens_digest, report_dige
     tokens = ",".join(str(t) for s in stats for o in s.outcomes for t in o.emitted)
     assert sha256(tokens) == tokens_digest
     assert sha256(render_json(aggregate(stats, config))) == report_digest
+
+
+ABLATE_ARGS = ["ablate", "--episodes", "3", "--length", "14", "--seed", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        pytest.param(
+            ABLATE_ARGS + ["--r", "0", "--r", "5", "--r", "9", "--format", "json"],
+            "baf9e53ba5409e9b0df5158727732b2d14f6052ece728b944402106cf5b456d9",
+            id="ablate-json",
+        ),
+        pytest.param(
+            ABLATE_ARGS + ["--r", "0", "--r", "5", "--r", "9", "--format", "csv"],
+            "0e735f7a71f8a618525ab6744c5808afcb53666538445f2d11df2555c957fa9d",
+            id="ablate-csv",
+        ),
+        pytest.param(
+            ABLATE_ARGS + ["--r", "0", "--r", "5", "--r", "9", "--format", "table"],
+            "0b8cc47fabd303daa15627fdae1affe39cef1666b6fd517088c1cf00be7dd0d2",
+            id="ablate-table",
+        ),
+        pytest.param(
+            ["decode", "--seed", "5", "--length", "35", "--r", "9"],
+            "c0a5a40fd4f38a52ee8151773e6e4c62217e7f631a790f87305e690378ca51cf",
+            id="decode",
+        ),
+    ],
+)
+def test_cli_output_matches_pinned_digest(argv, digest, capsys):
+    assert main(argv) == 0
+    assert sha256(capsys.readouterr().out) == digest

@@ -9,15 +9,17 @@ from specdec.config import RunConfig
 from specdec.draft_tree import TreeParams
 from specdec.harness import (
     CostModel,
+    EpisodeStats,
     analytic_speedup,
     build_models,
     measure_speedup,
     run_batch,
+    run_episode,
     success_proxy,
 )
 from specdec.models import PrefixState
 from specdec.report import aggregate, render_json, validate_report
-from specdec.verify import AcceptancePolicy, decode_episode
+from specdec.verify import AcceptancePolicy, VerifyOutcome, decode_episode
 
 from helpers import chain_expected_accepted, chain_q
 
@@ -45,14 +47,17 @@ class TestRunBatch:
         assert render_json(a) == render_json(b)
 
     def test_histogram_counts_sum_to_steps(self):
-        for stats in run_batch(small_config()):
-            assert sum(stats.histogram) == stats.steps
-            assert sum(stats.position_counts) == stats.steps
+        config = small_config()
+        stats = run_batch(config)
+        for row in aggregate(stats, config).policies:
+            episodes = [s for s in stats if s.r == row.r]
+            assert sum(row.histogram) == row.steps == sum(s.steps for s in episodes)
 
     def test_tokens_per_pass_identity(self):
         for stats in run_batch(small_config()):
-            mean = sum(i * c for i, c in enumerate(stats.histogram)) / stats.steps
-            assert stats.tokens_per_pass == 1.0 + mean
+            emitted = sum(len(o.emitted) for o in stats.outcomes)
+            # 1 + accepted/steps and emitted/steps can differ in the last bit.
+            assert stats.tokens_per_pass == pytest.approx(emitted / stats.steps, rel=1e-15)
 
     def test_histogram_mass_shifts_with_r(self):
         config = small_config(episodes=40, target_length=70, r_values=(0, 3, 9), top_k=1)
@@ -238,3 +243,35 @@ class TestAggregateReport:
     def test_empty_stats_rejected(self):
         with pytest.raises(ValueError):
             aggregate([], small_config())
+
+    def test_per_position_mean_counts_from_the_start_position(self):
+        config = small_config(r_values=(9,))
+        verifier, draft = build_models(config)
+        state = PrefixState(prompt_id="mid", emitted=(5, 6, 7))
+        stats = run_episode(
+            verifier, draft, config.tree_params(), AcceptancePolicy.relaxed(9), state, 28, 5
+        )
+        sums, counts = [0] * 7, [0] * 7
+        position = 3
+        for outcome in stats.outcomes:
+            sums[position % 7] += outcome.accepted
+            counts[position % 7] += 1
+            position += len(outcome.emitted)
+        expected = tuple(sums[i] / counts[i] if counts[i] else None for i in range(7))
+        (row,) = aggregate([stats], config).policies
+        assert row.per_position_mean == expected
+
+    def test_outcome_deeper_than_the_tree_rejected(self):
+        config = small_config(r_values=(0,))
+        outcome = VerifyOutcome(
+            accepted=config.tree_depth + 1,
+            emitted=(1,) * (config.tree_depth + 2),
+            reference=(1,) * (config.tree_depth + 2),
+            bonus_used=True,
+            chosen_path=0,
+        )
+        stats = EpisodeStats(
+            mode="strict", r=0, episode=0, start_position=0, outcomes=(outcome,), success=True
+        )
+        with pytest.raises(ValueError, match="exceeds tree depth"):
+            aggregate([stats], config)

@@ -19,7 +19,6 @@ from specdec.models import (
     MEMO_LIMIT,
     Distribution,
     HashVerifier,
-    NoisyDraft,
     PrefixState,
     TimedDraft,
     displacement_pmf,
@@ -452,8 +451,6 @@ class TestNoisyDraft:
                 make_noisy_draft(v, agreement_p=0.5, noise_sigma=sigma)
             with pytest.raises(ValueError):
                 displacement_pmf(sigma, 256)
-        with pytest.raises(ValueError):
-            NoisyDraft(v, proposal_sigma=float("nan"))
 
 
 class TestDisplacementPmf:

@@ -165,7 +165,7 @@ def _cmd_decode(config: RunConfig) -> int:
 def _cmd_bench(config: RunConfig) -> int:
     stats = run_batch(config)
     measurements = {}
-    if config.measure_speedup and config.cost_model() is not None:
+    if config.measure_speedup:
         for r in config.r_values:
             measurements[r] = measure_speedup(config, r)
     rep = aggregate(stats, config, measurements)

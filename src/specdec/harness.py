@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .action_space import CHUNK_SIZE, bin_distance
-from .config import RunConfig
+from .config import ConfigValueError, RunConfig
 from .draft_tree import TreeParams
 from .models import HashVerifier, PrefixState, TimedDraft, TimedVerifier, make_noisy_draft
 from .verify import AcceptancePolicy, VerifyOutcome, ar_decode, decode_episode
@@ -180,40 +180,32 @@ class SpeedupMeasurement:
     """Measured AR-vs-speculative wall-clock comparison on a fixed workload."""
 
     measured: float
-    analytic: float | None
+    analytic: float
     ar_seconds: float
     sd_seconds: float
     tokens_per_pass: float
     tokens: int
-    reliable: bool
-    note: str
 
 
 def measure_speedup(config: RunConfig, r: int | None = None) -> SpeedupMeasurement:
     """Time AR and speculative decoding on identical seeded workloads.
 
-    Latencies from the config's cost model are injected as sleeps around
-    every model round.  Without a cost model the ratio is dominated by
-    bookkeeping overhead rather than model cost, so the measurement is
-    flagged as unreliable.
+    The config's latencies are injected around every model round, so the
+    ratio compares model cost plus the engine's own overhead.  ``r``
+    defaults to the first of ``r_values``.  Raises ``ConfigValueError``
+    when the config sets no latencies: the ratio would then time
+    bookkeeping alone.
     """
     config.validate()
     cost = config.cost_model()
+    if cost is None:
+        raise ConfigValueError("measure_speedup needs verify_latency and draft_latency")
     r = config.r_values[0] if r is None else r
     policy = policy_for_r(r, config.per_dimension_r)
     params = config.tree_params()
     verifier, draft = build_models(config)
-
-    if cost is not None:
-        timed_verifier = TimedVerifier(verifier, cost.verify_latency)
-        timed_draft = TimedDraft(draft, cost.draft_latency)
-        reliable = True
-        note = "latencies injected from cost model"
-    else:
-        timed_verifier, timed_draft = verifier, draft
-        reliable = False
-        note = "unreliable: no injected latency, ratio reflects bookkeeping only"
-
+    timed_verifier = TimedVerifier(verifier, cost.verify_latency)
+    timed_draft = TimedDraft(draft, cost.draft_latency)
     states = [_episode_state(i) for i in range(config.episodes)]
 
     start = time.perf_counter()
@@ -233,15 +225,12 @@ def measure_speedup(config: RunConfig, r: int | None = None) -> SpeedupMeasureme
     # Committed tokens per verifier round; both runs commit exactly
     # episodes * target_length tokens, so the ratio is apples to apples.
     tokens = config.episodes * config.target_length
-    tpp = tokens / steps if steps else 1.0
-    est = analytic_speedup(cost, params.max_depth, tpp) if cost is not None else None
+    tpp = tokens / steps
     return SpeedupMeasurement(
-        measured=ar_seconds / sd_seconds if sd_seconds > 0 else float("inf"),
-        analytic=est,
+        measured=ar_seconds / sd_seconds,
+        analytic=analytic_speedup(cost, params.max_depth, tpp),
         ar_seconds=ar_seconds,
         sd_seconds=sd_seconds,
         tokens_per_pass=tpp,
         tokens=tokens,
-        reliable=reliable,
-        note=note,
     )

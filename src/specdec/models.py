@@ -9,8 +9,8 @@ The engine only needs two model roles:
 
 Both synthetic implementations here are pure functions of ``(seed, inputs)``
 so every experiment is reproducible without any trained weights: the
-verifier takes the argmax of a score vector drawn from a counter-based RNG
-keyed by a hash of the prefix, and the draft model tracks the verifier
+verifier takes the argmax of a score vector drawn from a ``PCG64`` generator
+seeded by a digest of the prefix, and the draft model tracks the verifier
 argmax with a configurable agreement probability, displacing it by a
 discrete Gaussian-shaped kernel otherwise.
 """
@@ -44,6 +44,8 @@ def _digest(h: hashlib.blake2b) -> int:
 
 def _stream_head(tag: bytes, seed: int) -> bytes:
     """Key prefix of one digest stream: each model draws from its own streams."""
+    if not -(2**63) <= seed < 2**63:
+        raise ValueError(f"seed must fit a signed 64-bit integer, got {seed}")
     return tag + struct.pack("<q", seed)
 
 
@@ -359,19 +361,13 @@ def make_noisy_draft(
 
 
 def simulate_latency(seconds: float) -> None:
-    """Block for ``seconds`` with sub-millisecond accuracy.
+    """Block for ``seconds`` by spinning on ``perf_counter`` to the deadline.
 
-    Plain ``time.sleep`` overshoots by up to a millisecond on coarse-timer
-    kernels, which would swamp injected latencies of a few milliseconds.
-    Sleep covers the bulk of the interval and a short spin finishes it.
+    A thread parked on an OS timer can wake milliseconds late on a loaded
+    host, which would swamp injected latencies of a few milliseconds, so
+    the wait never gives up the CPU.
     """
-    if seconds <= 0.0:
-        return
     deadline = time.perf_counter() + seconds
-    slack = 0.002
-    remaining = seconds - slack
-    if remaining > 0.0:
-        time.sleep(remaining)
     while time.perf_counter() < deadline:
         pass
 

@@ -4,10 +4,11 @@ One verification step works on a draft tree and the verifier's argmax at
 every tree position: one parents-first pass over the nodes finds each
 root-to-leaf path's longest accepted prefix, the best path wins, and the
 verifier contributes exactly one extra token — the correction at the first
-rejection, or a bonus token when a whole path survives.  With the relaxation threshold at zero this
-reduces to classic lossless speculative decoding; with a positive threshold
-a draft token is accepted whenever its bin lies within the threshold of the
-verifier argmax for that position's action dimension.
+rejection, or a bonus token when a whole path survives.  With the
+relaxation threshold at zero this reduces to classic lossless speculative
+decoding; with a positive threshold a draft token is accepted whenever its
+bin lies within the threshold of the verifier argmax for that position's
+action dimension.
 """
 
 from __future__ import annotations

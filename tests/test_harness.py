@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from specdec.config import RunConfig
+from specdec.config import ConfigValueError, RunConfig
 from specdec.draft_tree import TreeParams
 from specdec.harness import (
     CostModel,
@@ -153,12 +153,10 @@ class TestAnalyticSpeedup:
 
 
 class TestMeasureSpeedup:
-    def test_zero_injected_latency_flagged_unreliable(self):
+    def test_config_without_latencies_rejected(self):
         config = small_config(episodes=1, target_length=14)
-        measurement = measure_speedup(config, r=0)
-        assert not measurement.reliable
-        assert "unreliable" in measurement.note
-        assert measurement.analytic is None
+        with pytest.raises(ConfigValueError, match="verify_latency and draft_latency"):
+            measure_speedup(config, r=0)
 
     def test_overhead_regime_slower_than_ar(self):
         # Draft as expensive as the verifier: the analytic model predicts
@@ -172,7 +170,6 @@ class TestMeasureSpeedup:
             draft_latency=0.004,
         )
         measurement = measure_speedup(config, r=0)
-        assert measurement.reliable
         assert measurement.measured < 1.0
         assert measurement.analytic < 1.0
 
@@ -186,7 +183,6 @@ class TestMeasureSpeedup:
             draft_latency=0.0005,
         )
         measurement = measure_speedup(config, r=0)
-        assert measurement.reliable
         assert measurement.tokens_per_pass == pytest.approx(5.0)
         assert measurement.measured == pytest.approx(measurement.analytic, rel=0.10)
 

@@ -195,6 +195,16 @@ class TestHashVerifier:
         with pytest.raises(ValueError):
             HashVerifier(vocab_size=1 << 17)
 
+    def test_seed_outside_signed_64_bits_is_a_value_error(self):
+        verifier = HashVerifier()
+        for seed in (2**63, -(2**63) - 1):
+            with pytest.raises(ValueError, match=f"seed .*{seed}"):
+                HashVerifier(seed=seed)
+            with pytest.raises(ValueError, match=f"seed .*{seed}"):
+                make_noisy_draft(verifier, agreement_p=0.5, noise_sigma=6.0, seed=seed)
+        for seed in (2**63 - 1, -(2**63)):
+            make_noisy_draft(HashVerifier(seed=seed), agreement_p=0.5, noise_sigma=6.0, seed=seed)
+
 
 class TestDistribution:
     def test_argmax_is_taken_after_normalizing(self):

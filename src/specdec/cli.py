@@ -8,8 +8,9 @@ Subcommands:
   and success-rate curve.
 
 Exit codes: 0 on success, 1 when a report identity fails, 2 for argparse
-usage errors, 3 for a missing config file, 4 for malformed JSON, 5 for
-out-of-range or unknown config values.
+usage errors, 3 for a missing config file, 4 for malformed or non-UTF-8
+JSON, 5 for out-of-range, unknown or repeated config values, 6 when
+``--out`` cannot be written.
 """
 
 from __future__ import annotations
@@ -97,12 +98,18 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return parse_config(args.config, overrides)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None) -> int:
+    """Write the output to ``out`` or stdout; returns the exit code."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write {out!r}: {exc.strerror}\n")
+        return 6
+    return 0
 
 
 def run_ablation(config: RunConfig) -> Report:
@@ -158,8 +165,7 @@ def _cmd_decode(config: RunConfig) -> int:
         f"steps: {stats.steps}, tokens/pass: {stats.tokens_per_pass:.4f}, "
         f"success(tol={config.success_tolerance}): {stats.success}"
     )
-    _emit("\n".join(lines) + "\n", config.out)
-    return 0
+    return _emit("\n".join(lines) + "\n", config.out)
 
 
 def _cmd_bench(config: RunConfig) -> int:
@@ -174,13 +180,11 @@ def _cmd_bench(config: RunConfig) -> int:
     except ValueError as exc:
         sys.stderr.write(f"report identity check failed: {exc}\n")
         return 1
-    _emit(_RENDERERS["bench"][config.format](rep), config.out)
-    return 0
+    return _emit(_RENDERERS["bench"][config.format](rep), config.out)
 
 
 def _cmd_ablate(config: RunConfig) -> int:
-    _emit(_RENDERERS["ablate"][config.format](run_ablation(config)), config.out)
-    return 0
+    return _emit(_RENDERERS["ablate"][config.format](run_ablation(config)), config.out)
 
 
 def main(argv: list[str] | None = None) -> int:

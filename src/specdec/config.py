@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .action_space import CHUNK_SIZE, DimensionBounds
 from .draft_tree import TreeParams
@@ -70,7 +70,7 @@ class RunConfig:
     format: str = "table"
     out: str | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Check the config's own rules, and build what checks the rest."""
         from .harness import build_models
 
@@ -190,15 +190,25 @@ def _coerce(key: str, value):
     raise ConfigValueError(f"unknown config key {key!r}")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object's members; a repeated key is an error, not an override."""
+    members: dict = {}
+    for key, value in pairs:
+        if key in members:
+            raise ConfigValueError(f"config key {key!r} is set more than once")
+        members[key] = value
+    return members
+
+
 def load_config_file(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigFileError(f"cannot read config file {path!r}: {exc}") from exc
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigParseError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigParseError(f"config file {path!r} must hold a JSON object")
@@ -230,6 +240,4 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
             continue
         values[key] = _coerce(key, value)
 
-    config = replace(RunConfig(), **values)
-    config.validate()
-    return config
+    return RunConfig(**values)

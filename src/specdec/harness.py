@@ -127,7 +127,6 @@ def build_models(config: RunConfig):
 
 def run_batch(config: RunConfig) -> list[EpisodeStats]:
     """Run ``episodes`` seeded episodes for every policy in the config."""
-    config.validate()
     verifier, draft = build_models(config)
     params = config.tree_params()
 
@@ -151,9 +150,10 @@ def run_batch(config: RunConfig) -> list[EpisodeStats]:
         )
 
     if config.workers > 1:
-        # Queries are pure and the models' caches only ever miss under
-        # sharing, so episodes can run on any number of threads; results
-        # keep job order.
+        # Queries are pure functions of their prefix, and the models'
+        # ``functools`` caches are thread-safe and hold only such values, so
+        # threads sharing them change what is cached, never a result; pool
+        # results keep job order.
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             return list(pool.map(run_one, jobs))
     return [run_one(job) for job in jobs]
@@ -196,7 +196,6 @@ def measure_speedup(config: RunConfig, r: int | None = None) -> SpeedupMeasureme
     when the config sets no latencies: the ratio would then time
     bookkeeping alone.
     """
-    config.validate()
     cost = config.cost_model()
     if cost is None:
         raise ConfigValueError("measure_speedup needs verify_latency and draft_latency")

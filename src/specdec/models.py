@@ -23,6 +23,7 @@ import time
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cache, lru_cache, partial
 from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
@@ -189,12 +190,17 @@ class DraftModel(Protocol):
     ) -> Iterable[list[tuple[int, float]]]: ...
 
 
-# Upper bound on the distributions ``HashVerifier`` keeps between batched
-# rounds.  ``ar_decode`` calls ``next`` without ever calling ``batch``, so
-# the memo would otherwise grow for a whole greedy decode; a default tree
-# step stores about 50 (at most 52 over 713 steps of 16 episodes at r=0 and
-# r=9).  A miss only costs a redraw, never a different result.
+# Distributions a ``HashVerifier`` keeps, least recently used first out.  A
+# default tree step reads about 100 and draws about 58, so it evicts none of
+# its own; a wider step only redraws, since a draw is a pure function of
+# its key.
 MEMO_LIMIT = 256
+
+
+def _draw(vocab_size: int, key: int) -> Distribution:
+    """The verifier's distribution for one prefix digest: a pure function of both."""
+    rng = np.random.Generator(np.random.PCG64(key))
+    return Distribution.from_scores(rng.random(vocab_size))
 
 
 class HashVerifier:
@@ -213,30 +219,13 @@ class HashVerifier:
         self.vocab_size = int(vocab_size)
         self.seed = int(seed)
         self._head = _stream_head(b"verifier", self.seed)
-        # Prefix digest -> distribution scored by ``next`` since the last
-        # batched round, which the round reads instead of drawing again.
-        self._memo: dict[int, Distribution] = {}
-
-    def _draw(self, key: int) -> Distribution:
-        rng = np.random.Generator(np.random.PCG64(key))
-        return Distribution.from_scores(rng.random(self.vocab_size))
+        self._draw = lru_cache(maxsize=MEMO_LIMIT)(partial(_draw, self.vocab_size))
 
     def next(self, state: PrefixState) -> Distribution:
-        key = _digest(state._hash_state(self._head))
-        memo = self._memo
-        dist = memo.get(key)
-        if dist is None:
-            if len(memo) >= MEMO_LIMIT:
-                memo.clear()
-            dist = memo[key] = self._draw(key)
-        return dist
+        return self._draw(_digest(state._hash_state(self._head)))
 
     def batch(self, state: PrefixState, tree: DraftTree) -> TreeDistributions:
         tree.validate()
-        # The memo serves the overlap between one step's draft queries and
-        # its batched round; dropping it here keeps stale prefixes from
-        # piling up across steps.
-        memo, self._memo = self._memo, {}
         root = state._hash_state(self._head)
         # Nodes are stored parents-first, so each node's hasher extends an earlier one.
         hashers: list[hashlib.blake2b] = []
@@ -245,10 +234,8 @@ class HashVerifier:
             h = (root if node.parent < 0 else hashers[node.parent]).copy()
             h.update(_encode((node.token,)))
             hashers.append(h)
-            key = _digest(h)
-            dists.append(memo.get(key) or self._draw(key))
-        key = _digest(root)
-        return TreeDistributions(root=memo.get(key) or self._draw(key), nodes=dists)
+            dists.append(self._draw(_digest(h)))
+        return TreeDistributions(root=self._draw(_digest(root)), nodes=dists)
 
 
 def displacement_pmf(noise_sigma: float, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -271,6 +258,18 @@ def displacement_pmf(noise_sigma: float, vocab_size: int) -> tuple[np.ndarray, n
 
 # Scale of the draft's proposal-score kernel around its top-1 token, in bins.
 PROPOSAL_SIGMA = 1.0
+
+
+def _ranked(vocab_size: int, center: int, k: int) -> tuple[tuple[int, float], ...]:
+    """Top-``k`` ``(bin, log-score)`` proposals around ``center``, best first."""
+    bins = np.arange(vocab_size)
+    kernel = np.exp(-(bins.astype(np.float64) ** 2) / (2.0 * PROPOSAL_SIGMA**2)) + 1e-12
+    weights = kernel[np.abs(bins - center)]
+    probs = weights / weights.sum()
+    # Stable sort on descending probability: ties resolve to lower bin IDs.
+    order = np.argsort(-probs, kind="stable")[:k]
+    logp = np.log(probs[order])
+    return tuple((int(b), float(lp)) for b, lp in zip(order, logp))
 
 
 class NoisyDraft:
@@ -308,11 +307,8 @@ class NoisyDraft:
         self._cdf = np.cumsum(probs).tolist()
         self._agree = _stream_head(b"agree", self.seed)
         self._displace = _stream_head(b"displace", self.seed)
-        # Proposal-score kernel magnitudes, shared across centers.
-        mags = np.arange(self.vocab_size, dtype=np.float64)
-        self._kernel = np.exp(-(mags**2) / (2.0 * PROPOSAL_SIGMA**2)) + 1e-12
-        # The ranking depends only on (center, k): at most V entries per k.
-        self._ranked_by_center: dict[tuple[int, int], list[tuple[int, float]]] = {}
+        # At most V rankings per k, so the cache needs no bound.
+        self._ranked = cache(partial(_ranked, self.vocab_size))
 
     @staticmethod
     def _uniform(head: bytes, state: PrefixState) -> float:
@@ -327,27 +323,13 @@ class NoisyDraft:
         idx = min(bisect_right(self._cdf, u), len(self._offsets) - 1)
         return min(max(target + self._offsets[idx], 0), self.vocab_size - 1)
 
-    def _ranked(self, center: int, k: int) -> list[tuple[int, float]]:
-        """Top-``k`` ``(bin, log-score)`` proposals around ``center``, best first."""
-        ranked = self._ranked_by_center.get((center, k))
-        if ranked is None:
-            bins = np.arange(self.vocab_size)
-            weights = self._kernel[np.abs(bins - center)]
-            probs = weights / weights.sum()
-            # Stable sort on descending probability: ties resolve to lower bin IDs.
-            order = np.argsort(-probs, kind="stable")[:k]
-            logp = np.log(probs[order])
-            ranked = [(int(b), float(lp)) for b, lp in zip(order, logp)]
-            self._ranked_by_center[(center, k)] = ranked
-        return list(ranked)
-
     def propose_many(
         self, states: Sequence[PrefixState], k: int
     ) -> Iterator[list[tuple[int, float]]]:
         if not 1 <= k <= self.vocab_size:
             raise ValueError(f"k must be in [1, {self.vocab_size}], got {k}")
         # Lazy, so a state the tree builder never reads is never scored.
-        return (self._ranked(self._center(state), k) for state in states)
+        return (list(self._ranked(self._center(state), k)) for state in states)
 
 
 def make_noisy_draft(

@@ -22,7 +22,8 @@ def clear_seed_env(monkeypatch):
 
 def write_config(tmp_path, payload) -> str:
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(payload))
+    # A string is written as it is, for JSON that a dict cannot express.
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -148,6 +149,7 @@ class TestParseConfig:
             ("verify_latency", {"verify_latency": 0, "draft_latency": 0.001}),
             ("draft_latency", {"verify_latency": 0.02, "draft_latency": -0.001}),
             ("measure_speedup", {"measure_speedup": True}),
+            pytest.param("episodes", '{"episodes": 1, "episodes": 2}', id="episodes-repeated"),
         ],
     )
     def test_out_of_range_values_rejected_naming_the_key(self, tmp_path, key, payload):
@@ -253,11 +255,24 @@ class TestCliCommands:
         bad.write_text(json.dumps({"top_k": 300}))
         assert main(["bench", "--config", str(bad)]) == 5
         capsys.readouterr()
+        undecodable = tmp_path / "undecodable.json"
+        undecodable.write_bytes(b"\xff\xfe{}")
+        assert main(["bench", "--config", str(undecodable)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         # The models pack ``seed + 1`` as a signed 64-bit integer.
         assert main(["decode", "--seed", str(2**63 - 1), "--length", "7"]) == 5
         assert capsys.readouterr().err == f"error: seed must be in [-2^63, 2^63 - 2], got {2**63 - 1}\n"
         assert main(["decode", "--seed", str(2**63 - 2), "--length", "7"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["bench", "ablate", "decode"])
+    def test_unwritable_out_exit_code(self, tmp_path, capsys, command):
+        for out in (tmp_path / "missing" / "report.txt", tmp_path):
+            argv = [command, "--episodes", "1", "--length", "7", "--r", "0", "--r", "9"]
+            assert main(argv + ["--out", str(out)]) == 6
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot write {str(out)!r}: ") and err.count("\n") == 1
 
     def test_ablate_single_r_exit_code(self, capsys):
         assert main(["ablate", "--episodes", "1", "--length", "14", "--r", "9"]) == 5

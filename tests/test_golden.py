@@ -8,6 +8,7 @@ byte for byte.  A deliberate behaviour change updates them and says so.
 
 import dataclasses
 import hashlib
+import json
 
 import pytest
 
@@ -76,4 +77,32 @@ ABLATE_ARGS = ["ablate", "--episodes", "3", "--length", "14", "--seed", "5"]
 )
 def test_cli_output_matches_pinned_digest(argv, digest, capsys):
     assert main(argv) == 0
+    assert sha256(capsys.readouterr().out) == digest
+
+
+# The CSV and table renderers, on a config with latencies, per-dimension
+# thresholds and six report positions, which the digests above leave out.
+LATENCY_CONFIG = {
+    "episodes": 3,
+    "target_length": 35,
+    "seed": 5,
+    "r_values": [0, 9],
+    "per_dimension_r": [9, 9, 9, 9, 9, 9, 0],
+    "verify_latency": 0.02,
+    "draft_latency": 0.001,
+    "report_positions": 6,
+}
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("csv", "7f5a6f47bce35df2dae9b87b8e3352b23a0718bf52b27350055313a824f598de"),
+        ("table", "7ee6de84fa28cc5408fbd896fc7bc491565618c49213edbe64a593ace0d263ee"),
+    ],
+)
+def test_bench_render_matches_pinned_digest(fmt, digest, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(LATENCY_CONFIG))
+    assert main(["bench", "--config", str(path), "--format", fmt]) == 0
     assert sha256(capsys.readouterr().out) == digest

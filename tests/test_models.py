@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specdec import models
 from specdec.draft_tree import TreeParams, build_tree
 from specdec.models import (
     MEMO_LIMIT,
@@ -24,7 +25,7 @@ from specdec.models import (
     displacement_pmf,
     make_noisy_draft,
 )
-from specdec.verify import AcceptancePolicy, decode_episode
+from specdec.verify import AcceptancePolicy, ar_decode, decode_episode
 
 from helpers import chain_q, random_tree, token_path
 
@@ -51,16 +52,17 @@ def chain_digest(state, tag, seed):
 
 
 def record_draws(monkeypatch) -> list[tuple[int, Distribution]]:
-    """Every ``(key, distribution)`` score draw any ``HashVerifier`` makes."""
+    """Every ``(key, distribution)`` score draw a ``HashVerifier`` built later makes."""
     draws = []
-    draw = HashVerifier._draw
+    draw = models._draw
 
-    def recording(self, key):
-        dist = draw(self, key)
+    def recording(vocab_size, key):
+        dist = draw(vocab_size, key)
         draws.append((key, dist))
         return dist
 
-    monkeypatch.setattr(HashVerifier, "_draw", recording)
+    # Verifiers built after this call cache the recording function.
+    monkeypatch.setattr(models, "_draw", recording)
     return draws
 
 
@@ -371,7 +373,25 @@ class TestVerifierMemo:
         for token in range(3 * MEMO_LIMIT):
             v.next(state)
             state = state.extend(token % 256)
-        assert len(v._memo) <= MEMO_LIMIT
+        assert v._draw.cache_info().currsize <= MEMO_LIMIT
+
+
+    def test_steps_wider_than_the_memo_keep_the_guarantees(self):
+        params = TreeParams(top_k=16, max_depth=4, max_nodes=300)
+        state = state_of(1, 2, 3)
+        verifier = HashVerifier(seed=9)
+        draft = make_noisy_draft(verifier, 0.5, 6.0)
+        tree = build_tree(state, draft, params, verifier.vocab_size)
+        # One step scores the root and every node: more prefixes than the memo holds.
+        assert len(tree.nodes) + 1 > MEMO_LIMIT
+        fresh = HashVerifier(seed=9)
+        strict, _ = decode_episode(state, verifier, draft, params, AcceptancePolicy.strict(), 28)
+        assert strict == ar_decode(state, fresh, 28)
+        relaxed, _ = decode_episode(state, verifier, draft, params, AcceptancePolicy.relaxed(9), 28)
+        assert len(relaxed) == 28
+        for i, token in enumerate(relaxed):
+            reference = fresh.next(state.extend_many(relaxed[:i])).argmax
+            assert 0 <= token < verifier.vocab_size and abs(token - reference) <= 9
 
 
 class TestNoisyDraft:

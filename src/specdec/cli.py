@@ -10,7 +10,7 @@ Subcommands:
 Exit codes: 0 on success, 1 when a report identity fails, 2 for argparse
 usage errors, 3 for a missing config file, 4 for malformed or non-UTF-8
 JSON, 5 for out-of-range, unknown or repeated config values, 6 when
-``--out`` cannot be written.
+``--out`` cannot be written, which is checked before any episode runs.
 """
 
 from __future__ import annotations
@@ -98,18 +98,23 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return parse_config(args.config, overrides)
 
 
-def _emit(text: str, out: str | None) -> int:
-    """Write the output to ``out`` or stdout; returns the exit code."""
-    if out is None:
-        sys.stdout.write(text)
-        return 0
+def _write(out: str, mode: str, text: str = "") -> int:
+    """Open ``out`` in ``mode`` and write ``text``; returns the exit code."""
     try:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(out, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         sys.stderr.write(f"error: cannot write {out!r}: {exc.strerror}\n")
         return 6
     return 0
+
+
+def _emit(text: str, out: str | None) -> int:
+    """Write the output to ``out`` or stdout; returns the exit code."""
+    if out is None:
+        sys.stdout.write(text)
+        return 0
+    return _write(out, "w", text)
 
 
 def run_ablation(config: RunConfig) -> Report:
@@ -192,6 +197,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
+        # Appending nothing checks ``--out`` before any episode runs, and
+        # leaves an existing file as it is.
+        if config.out is not None and (code := _write(config.out, "a")):
+            return code
         if args.command == "decode":
             return _cmd_decode(config)
         if args.command == "bench":

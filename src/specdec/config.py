@@ -65,7 +65,6 @@ class RunConfig:
     verify_latency: float | None = None
     draft_latency: float | None = None
     measure_speedup: bool = False
-    workers: int = 1
     report_positions: int = 7
     format: str = "table"
     out: str | None = None
@@ -113,8 +112,6 @@ class RunConfig:
             raise ConfigValueError("verify_latency and draft_latency must be set together")
         if self.measure_speedup and self.verify_latency is None:
             raise ConfigValueError("measure_speedup needs verify_latency and draft_latency")
-        if self.workers < 1:
-            raise ConfigValueError("workers must be >= 1")
         if self.report_positions not in (6, 7):
             raise ConfigValueError("report_positions must be 6 or 7")
         if self.format not in REPORT_FORMATS:

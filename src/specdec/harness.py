@@ -15,7 +15,6 @@ about downstream task performance.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -126,37 +125,23 @@ def build_models(config: RunConfig):
 
 
 def run_batch(config: RunConfig) -> list[EpisodeStats]:
-    """Run ``episodes`` seeded episodes for every policy in the config."""
+    """Run ``episodes`` seeded episodes for every policy, in ``r_values`` order."""
     verifier, draft = build_models(config)
     params = config.tree_params()
-
-    jobs = []
-    for r in config.r_values:
-        policy = policy_for_r(r, config.per_dimension_r)
-        for episode in range(config.episodes):
-            jobs.append((policy, episode))
-
-    def run_one(job) -> EpisodeStats:
-        policy, episode = job
-        return run_episode(
+    return [
+        run_episode(
             verifier,
             draft,
             params,
-            policy,
+            policy_for_r(r, config.per_dimension_r),
             _episode_state(episode),
             config.target_length,
             config.success_tolerance,
             episode=episode,
         )
-
-    if config.workers > 1:
-        # Queries are pure functions of their prefix, and the models'
-        # ``functools`` caches are thread-safe and hold only such values, so
-        # threads sharing them change what is cached, never a result; pool
-        # results keep job order.
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            return list(pool.map(run_one, jobs))
-    return [run_one(job) for job in jobs]
+        for r in config.r_values
+        for episode in range(config.episodes)
+    ]
 
 
 def analytic_speedup(cost: CostModel, depth: int, tokens_per_pass: float) -> float:
@@ -187,19 +172,17 @@ class SpeedupMeasurement:
     tokens: int
 
 
-def measure_speedup(config: RunConfig, r: int | None = None) -> SpeedupMeasurement:
+def measure_speedup(config: RunConfig, r: int) -> SpeedupMeasurement:
     """Time AR and speculative decoding on identical seeded workloads.
 
     The config's latencies are injected around every model round, so the
-    ratio compares model cost plus the engine's own overhead.  ``r``
-    defaults to the first of ``r_values``.  Raises ``ConfigValueError``
-    when the config sets no latencies: the ratio would then time
-    bookkeeping alone.
+    ratio compares model cost plus the engine's own overhead.  Raises
+    ``ConfigValueError`` when the config sets no latencies: the ratio would
+    then time bookkeeping alone.
     """
     cost = config.cost_model()
     if cost is None:
         raise ConfigValueError("measure_speedup needs verify_latency and draft_latency")
-    r = config.r_values[0] if r is None else r
     policy = policy_for_r(r, config.per_dimension_r)
     params = config.tree_params()
     verifier, draft = build_models(config)

@@ -25,8 +25,9 @@ from .models import DraftModel, PrefixState, Verifier
 class AcceptancePolicy:
     """How draft tokens are admitted during verification.
 
-    ``strict`` requires an exact token match; ``relaxed`` admits a draft
-    token whose bin distance to the verifier argmax is at most ``r``.
+    ``strict`` requires an exact token match and takes no threshold;
+    ``relaxed`` admits a draft token whose bin distance to the verifier
+    argmax is at most ``r``.
     ``per_dimension_r`` optionally overrides the threshold for each of the
     7 action dimensions (e.g. to force exact matches on the gripper).
     """
@@ -40,6 +41,8 @@ class AcceptancePolicy:
             raise ValueError(f"unknown acceptance mode {self.mode!r}")
         if self.r < 0:
             raise ValueError("threshold r must be >= 0")
+        if self.mode == "strict" and (self.r or self.per_dimension_r is not None):
+            raise ValueError("a strict policy takes no threshold")
         if self.per_dimension_r is not None:
             if len(self.per_dimension_r) != CHUNK_SIZE:
                 raise ValueError(f"per_dimension_r must list {CHUNK_SIZE} thresholds")
@@ -56,8 +59,6 @@ class AcceptancePolicy:
         return cls(mode="relaxed", r=int(r), per_dimension_r=overrides)
 
     def effective_r(self, dimension: int) -> int:
-        if self.mode == "strict":
-            return 0
         if self.per_dimension_r is not None:
             return self.per_dimension_r[dimension % CHUNK_SIZE]
         return self.r

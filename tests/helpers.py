@@ -7,8 +7,8 @@ the implementation instead of echoing it.
 
 import numpy as np
 
-from specdec.draft_tree import ROOT, DraftNode, DraftTree, TreeParams
-from specdec.models import Distribution, TreeDistributions
+from specdec.draft_tree import ROOT, DraftNode, DraftTree, TreeParams, build_tree
+from specdec.models import Distribution, NoisyDraft, PrefixState, TreeDistributions
 
 
 class ScriptedVerifier:
@@ -146,3 +146,65 @@ def chain_q(agreement_p: float, noise_sigma: float, vocab_size: int, r: int) -> 
 def chain_expected_accepted(q: float, depth: int) -> float:
     """Expected accepted draft tokens per pass: sum of q^i for i=1..depth."""
     return sum(q**i for i in range(1, depth + 1))
+
+
+def _center_offset_pmf(agreement_p: float, noise_sigma: float, vocab_size: int) -> np.ndarray:
+    """P(delta) for delta = draft center - verifier argmax, indexed by delta + V - 1.
+
+    The center is the argmax with probability ``agreement_p``, else the
+    argmax displaced by the kernel and clamped into the vocabulary, over a
+    uniform argmax: the mixture :func:`chain_q` sums.
+    """
+    mags = np.arange(1, vocab_size, dtype=np.float64)
+    w = np.exp(-(mags**2 - 1.0) / (2.0 * noise_sigma**2))
+    offsets = np.concatenate([-mags[::-1], mags]).astype(np.int64)
+    probs = np.concatenate([w[::-1], w])
+    probs /= probs.sum()
+
+    argmaxes = np.arange(vocab_size)[:, None]
+    deltas = np.clip(argmaxes + offsets[None, :], 0, vocab_size - 1) - argmaxes
+    pmf = np.zeros(2 * vocab_size - 1)
+    np.add.at(pmf, deltas + vocab_size - 1, np.broadcast_to(probs / vocab_size, deltas.shape))
+    pmf *= 1.0 - agreement_p
+    pmf[vocab_size - 1] += agreement_p
+    return pmf
+
+
+def tree_expected_tokens_per_pass(
+    agreement_p: float, noise_sigma: float, vocab_size: int, r: int, params: TreeParams
+) -> float:
+    """Exact tokens/pass of the synthetic pair's draft tree, away from the edges.
+
+    A draft's proposals depend only on its center, so the tree's shape, as
+    offsets from each parent's center, is the one built once with the
+    center held at V/2.  Each node's argmax and center offset ``delta`` are
+    independent of every other node's, so from the leaves up, for m >= 1:
+    P(A(n) >= m) = 1 - E_delta[prod_j (1 - [|delta + s_j| <= r] P(A(c_j) >= m - 1))]
+    over n's children c_j at offsets s_j, with P(A(c) >= 0) = 1.
+    """
+    middle = vocab_size // 2
+    always_middle = ScriptedVerifier([middle], vocab_size=vocab_size)
+    draft = NoisyDraft(always_middle, agreement_p=1.0)
+    tree = build_tree(PrefixState(prompt_id="shape"), draft, params, vocab_size)
+
+    pmf = _center_offset_pmf(agreement_p, noise_sigma, vocab_size)
+    deltas = np.arange(1 - vocab_size, vocab_size)
+    children: dict[int, list[int]] = {ROOT: []}
+    for i, node in enumerate(tree.nodes):
+        children[i] = []
+        children[node.parent].append(i)
+
+    depth = params.max_depth
+    at_least: dict[int, np.ndarray] = {}  # node -> P(A(node) >= m) for m = 0..depth
+    for n in [*reversed(range(len(tree.nodes))), ROOT]:
+        probs = np.zeros(depth + 1)
+        probs[0] = 1.0
+        kids = children[n]
+        if kids:
+            offsets = np.array([tree.nodes[c].token - middle for c in kids])
+            accepts = np.abs(deltas[None, :] + offsets[:, None]) <= r
+            for m in range(1, depth + 1):
+                deeper = np.array([at_least[c][m - 1] for c in kids])[:, None]
+                probs[m] = 1.0 - pmf @ np.prod(1.0 - accepts * deeper, axis=0)
+        at_least[n] = probs
+    return 1.0 + float(at_least[ROOT][1:].sum())

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +88,15 @@ class TestParseConfig:
     def test_latencies_must_come_together(self):
         with pytest.raises(ConfigValueError):
             parse_config(None, {"verify_latency": 0.02})
+
+    def test_readme_config_block_lists_every_key_and_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Config file", 1)[1]
+        block = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+        defaults = RunConfig()
+        expected = {**defaults.to_json_dict(), "format": defaults.format, "out": defaults.out}
+        assert list(block) == list(expected)
+        assert block == json.loads(json.dumps(expected))
 
     def test_wrong_types_rejected(self, tmp_path):
         nan, inf = float("nan"), float("inf")
@@ -273,6 +283,26 @@ class TestCliCommands:
             assert main(argv + ["--out", str(out)]) == 6
             err = capsys.readouterr().err
             assert err.startswith(f"error: cannot write {str(out)!r}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["bench", "ablate", "decode"])
+    def test_unwritable_out_fails_before_decoding(self, tmp_path, capsys, monkeypatch, command):
+        def decode_nothing(*args, **kwargs):
+            raise AssertionError("an episode ran before --out was checked")
+
+        monkeypatch.setattr("specdec.cli.run_batch", decode_nothing)
+        monkeypatch.setattr("specdec.cli.run_episode", decode_nothing)
+        out = str(tmp_path / "missing" / "report.txt")
+        assert main([command, "--r", "0", "--r", "9", "--out", out]) == 6
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out!r}: ") and err.count("\n") == 1
+
+    def test_existing_out_is_overwritten(self, tmp_path, capsys):
+        out = tmp_path / "report.txt"
+        out.write_text("stale report that is longer than the new one\n" * 100)
+        argv = ["decode", "--length", "7", "--r", "9"]
+        assert main(argv) == 0
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out
 
     def test_ablate_single_r_exit_code(self, capsys):
         assert main(["ablate", "--episodes", "1", "--length", "14", "--r", "9"]) == 5

@@ -28,13 +28,13 @@ def sha256(text: str) -> str:
         pytest.param(
             dict(episodes=3, target_length=35),
             "0a928d93d761bda746b1a4a93d4659a343722ab9867aa91e36001ec5ba43d138",
-            "e18db0de014e8dac804f7f4246551ada0d373efc6af42113b6e04584a8b2473c",
+            "c2f472bf000ff6e95017f0fd24f8aaaa9742bbe47decc173bdcb63f7b9b23e30",
             id="tree",
         ),
         pytest.param(
             dict(episodes=2, target_length=140, top_k=1, max_nodes=4),
             "4979257238d61bb11744f0e7532925279d302a2a5e73a7ee572e1604dc071fa2",
-            "f51dd388b1630de4761232de927042b2a2d3bf9f4f6129c7b57c6dae7368d794",
+            "1c263d1ddd1c550d59ca33c63cf37915f4e3bccb17aebcb5f655cf5e0c646b88",
             id="chain",
         ),
     ],
@@ -55,7 +55,7 @@ ABLATE_ARGS = ["ablate", "--episodes", "3", "--length", "14", "--seed", "5"]
     [
         pytest.param(
             ABLATE_ARGS + ["--r", "0", "--r", "5", "--r", "9", "--format", "json"],
-            "baf9e53ba5409e9b0df5158727732b2d14f6052ece728b944402106cf5b456d9",
+            "19b69836882924dae0b3cf39f3f2b17e8412191743414aebe04aa84999681d6b",
             id="ablate-json",
         ),
         pytest.param(

@@ -21,7 +21,7 @@ from specdec.models import PrefixState
 from specdec.report import aggregate, render_json, validate_report
 from specdec.verify import AcceptancePolicy, VerifyOutcome, decode_episode
 
-from helpers import chain_expected_accepted, chain_q
+from helpers import chain_expected_accepted, chain_q, tree_expected_tokens_per_pass
 
 
 def small_config(**kwargs) -> RunConfig:
@@ -74,13 +74,31 @@ class TestRunBatch:
         assert by_r[0].length_proportions[0] > by_r[3].length_proportions[0]
         assert by_r[3].length_proportions[0] > by_r[9].length_proportions[0]
 
-    def test_workers_do_not_change_results(self):
-        base = small_config(episodes=6)
-        parallel = small_config(episodes=6, workers=4)
-        # Same statistics, episode for episode; only the config echo differs.
-        assert aggregate(run_batch(base), base).policies == aggregate(
-            run_batch(parallel), parallel
-        ).policies
+    def test_tree_oracle_reduces_to_the_chain_closed_form(self):
+        for r in (0, 3, 9):
+            for depth in (1, 4, 6):
+                chain = TreeParams(top_k=1, max_depth=depth, max_nodes=depth)
+                expected = 1.0 + chain_expected_accepted(chain_q(0.5, 6.0, 256, r), depth)
+                oracle = tree_expected_tokens_per_pass(0.5, 6.0, 256, r, chain)
+                assert oracle == pytest.approx(expected, abs=1e-12)
+
+    def test_default_tree_tokens_per_pass_matches_oracle(self):
+        # Steps are independent draws of one accepted-length law (every
+        # prefix is fresh), so the per-step standard error bounds the gap.
+        # The oracle ignores the vocabulary edges, a bias far inside 4 SE.
+        config = small_config(episodes=30, target_length=70, r_values=(0, 9), seed=2026)
+        stats = run_batch(config)
+        for r in config.r_values:
+            per_step = np.array([1 + o.accepted for s in stats if s.r == r for o in s.outcomes])
+            measured = per_step.mean()
+            stderr = per_step.std(ddof=1) / np.sqrt(len(per_step))
+            expected = tree_expected_tokens_per_pass(
+                config.agreement_p, config.noise_sigma, config.vocab_size, r,
+                config.tree_params(),
+            )
+            assert abs(measured - expected) <= 4.0 * stderr, (
+                f"r={r}: measured {measured:.4f} +- {stderr:.4f} vs oracle {expected:.4f}"
+            )
 
     def test_invalid_config_raises_descriptive_error(self):
         from specdec.config import ConfigValueError

@@ -143,6 +143,11 @@ class TestAcceptToken:
             AcceptancePolicy.relaxed(-1)
         with pytest.raises(ValueError):
             AcceptancePolicy.relaxed(3, per_dimension_r=[1, 2, 3])
+        # A strict policy matches exactly, so a threshold would only mislabel it.
+        with pytest.raises(ValueError):
+            AcceptancePolicy(mode="strict", r=5)
+        with pytest.raises(ValueError):
+            AcceptancePolicy(mode="strict", per_dimension_r=(0,) * 7)
 
 
 def chain_tree(tokens) -> DraftTree:

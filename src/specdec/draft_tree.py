@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 
 from .models import DraftModel, PrefixState
@@ -28,8 +29,8 @@ from .models import DraftModel, PrefixState
 
 class TreeStructureError(ValueError):
     """Raised for malformed trees and draft proposals: dangling parents, bad
-    ordering, size mismatches, out-of-vocabulary tokens, bad log-scores,
-    duplicate sibling tokens."""
+    ordering, size mismatches, proposals that are not (int, log-score) pairs,
+    out-of-vocabulary tokens, bad log-scores, duplicate sibling tokens."""
 
 
 ROOT = -1  # parent marker for first-level nodes
@@ -90,9 +91,10 @@ def build_tree(
 ) -> DraftTree:
     """Grow a draft tree from ``state`` under the given expansion budget.
 
-    Raises :class:`TreeStructureError` for a proposal it reads whose token
-    lies outside ``[0, vocab_size)``, whose log-score is non-finite or
-    positive, or whose token repeats a sibling's.
+    Raises :class:`TreeStructureError` for a proposal it reads that is not
+    an ``(int, log-score)`` pair, whose token lies outside
+    ``[0, vocab_size)``, whose log-score is non-finite or positive, or whose
+    token repeats a sibling's.
     """
     # Each candidate is stored as its rank key (-cum_score, depth, path): best
     # score first, then shallower, then lexicographic token path.  Fully
@@ -106,7 +108,7 @@ def build_tree(
     for depth in range(1, params.max_depth + 1):
         if not frontier:
             break
-        # Every tree state is one link from ``state`` in its digest chain.
+        # Each tree state folds only its path into ``state``'s key.
         states = [state.extend_many(key[2]) if depth > 1 else state for _, key in frontier]
         proposals = iter(draft.propose_many(states, params.top_k))
         children: list[tuple[float, int, tuple[int, ...]]] = []  # read so far, sorted
@@ -122,14 +124,23 @@ def build_tree(
             path = key[2]
             base = -key[0] if path else 0.0
             siblings: set[int] = set()
-            for token, logp in props:
+            for proposal in props:
+                try:
+                    token, logp = proposal
+                    # An integer token, so the models can fold it into a key.
+                    token = operator.index(token)
+                    # The ranking needs finite log-scores <= 0 (a child never
+                    # outranks its parent) and one candidate per token.
+                    score_ok = -math.inf < logp <= 0.0
+                except (TypeError, ValueError):
+                    raise TreeStructureError(
+                        f"draft proposal {proposal!r} is not an (int, log-score) pair"
+                    ) from None
                 if not 0 <= token < vocab_size:
                     raise TreeStructureError(
                         f"draft token {token} outside vocabulary [0, {vocab_size})"
                     )
-                # The ranking needs finite log-scores <= 0 (a child never
-                # outranks its parent) and one candidate per token.
-                if not -math.inf < logp <= 0.0:
+                if not score_ok:
                     raise TreeStructureError(
                         f"draft log-score {logp} for token {token} is not finite and <= 0"
                     )

@@ -8,19 +8,20 @@ The engine only needs two model roles:
   model).
 
 Both synthetic implementations here are pure functions of ``(seed, inputs)``
-so every experiment is reproducible without any trained weights: the
-verifier takes the argmax of a score vector drawn from a ``PCG64`` generator
-seeded by a digest of the prefix, and the draft model tracks the verifier
-argmax with a configurable agreement probability, displacing it by a
-discrete Gaussian-shaped kernel otherwise.
+so every experiment is reproducible without any trained weights.  Each
+``PrefixState`` carries one 64-bit key of its prompt, observation and
+emitted tokens; a model mixes that key with a salt of its own stream and
+seed.  The verifier takes the argmax of a score vector drawn from a
+``PCG64`` generator seeded by that mix, and the draft model tracks the
+verifier argmax with a configurable agreement probability, displacing it
+by a discrete Gaussian-shaped kernel otherwise.
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
+import operator
 import time
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
@@ -31,108 +32,81 @@ import numpy as np
 if TYPE_CHECKING:
     from .draft_tree import DraftTree
 
-# Tokens are hashed as uint16, which caps usable vocabularies.
+# The largest vocabulary the synthetic models accept.  Every verifier draw
+# makes one score per bin, so the cap bounds what a draw costs.
 MAX_VOCAB_SIZE = 65535
 
-
-def _encode(tokens: Sequence[int]) -> bytes:
-    return array("H", tokens).tobytes()
+_MASK64 = (1 << 64) - 1
 
 
-def _digest(h: hashlib.blake2b) -> int:
-    return int.from_bytes(h.digest(), "little")
+def _mix(x: int) -> int:
+    """One splitmix64 step on ``x``: a bijection of 64-bit integers that spreads every bit."""
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
 
 
-def _stream_head(tag: bytes, seed: int) -> bytes:
-    """Key prefix of one digest stream: each model draws from its own streams."""
+def _fold(key: int, tokens: Iterable[int]) -> int:
+    """Absorb ``tokens`` into ``key``, one mix per token."""
+    for token in tokens:
+        key = _mix(key ^ token)
+    return key
+
+
+def _blake64(data: bytes) -> int:
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+
+
+def _salt(tag: bytes, seed: int) -> int:
+    """One model stream's salt: each model draws from its own streams."""
     if not -(2**63) <= seed < 2**63:
         raise ValueError(f"seed must fit a signed 64-bit integer, got {seed}")
-    return tag + struct.pack("<q", seed)
-
-
-class _Link:
-    """One state's link in a digest chain.
-
-    ``tokens`` are what the state added to its parent's prefix (a root holds
-    its whole prefix); ``saved`` maps a stream head to the blake2b state
-    that has absorbed the state's key, shared, so copied before any update.
-    Links hold no ``PrefixState``, so a chain keeps alive each step's new
-    tokens and hash states, not a prefix copy per step.
-    """
-
-    __slots__ = ("parent", "tokens", "saved")
-
-    def __init__(self, parent: _Link | None, tokens: tuple[int, ...]):
-        self.parent = parent
-        self.tokens = tokens
-        self.saved: dict[bytes, hashlib.blake2b] = {}
+    return _blake64(tag + seed.to_bytes(8, "little", signed=True))
 
 
 @dataclass(frozen=True)
 class PrefixState:
     """Decoding context: which episode we are in and what was emitted so far.
 
-    ``extend`` and ``extend_many`` link the new state to this one, so the
-    synthetic models hash a state by extending its parent's digest with the
-    new tokens only.  The link is not part of the value: equality, hashing,
-    ``repr`` and ``dataclasses.replace`` ignore it, and a pickled or copied
-    state starts a new chain.
+    ``key`` is the state's 64-bit key: the blake2b of ``prompt + 0x1f +
+    observation``, then each emitted token folded in with :func:`_mix`.
+    ``extend`` and ``extend_many`` fold only the new tokens into this
+    state's key; a state built directly or by ``dataclasses.replace`` folds
+    its whole ``emitted``.  The key is derived from the fields, so
+    equality, hashing and ``repr`` ignore it, and copies keep it.  Tokens
+    must be integers (``operator.index``); anything else is a ``TypeError``.
     """
 
     prompt_id: str = "p0"
     observation_id: str = "o0"
     emitted: tuple[int, ...] = ()
-    _link: _Link = field(init=False, repr=False, compare=False)
+    key: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # A state built directly roots a chain; ``_child`` relinks its own.
-        object.__setattr__(self, "_link", _Link(None, self.emitted))
-
-    def __reduce__(self):
-        # blake2b states do not pickle, so a copy is rebuilt from the fields.
-        return (PrefixState, (self.prompt_id, self.observation_id, self.emitted))
+        root = _blake64(self.prompt_id.encode() + b"\x1f" + self.observation_id.encode())
+        object.__setattr__(self, "key", _fold(root, map(operator.index, self.emitted)))
 
     @property
     def position(self) -> int:
         return len(self.emitted)
 
     def extend(self, token: int) -> PrefixState:
-        return self._child((int(token),))
+        return self._child((operator.index(token),))
 
     def extend_many(self, tokens: Sequence[int]) -> PrefixState:
-        return self._child(tuple(int(t) for t in tokens))
+        return self._child(tuple(map(operator.index, tokens)))
 
     def _child(self, tokens: tuple[int, ...]) -> PrefixState:
-        child = PrefixState(self.prompt_id, self.observation_id, self.emitted + tokens)
-        object.__setattr__(child, "_link", _Link(self._link, tokens))
+        # Built without ``__init__``, so the parent's fold is not redone.
+        child = object.__new__(PrefixState)
+        child.__dict__.update(
+            prompt_id=self.prompt_id,
+            observation_id=self.observation_id,
+            emitted=self.emitted + tokens,
+            key=_fold(self.key, tokens),
+        )
         return child
-
-    def _hash_state(self, head: bytes) -> hashlib.blake2b:
-        """blake2b of ``head + prompt + 0x1f + observation + 0x1f + emitted`` (uint16).
-
-        Only the tokens added since the nearest link that saved ``head`` are
-        hashed; the walk back to it is a loop, so no chain is too deep.  The
-        result is saved on this link and shared: copy it before updating it.
-        """
-        h = self._link.saved.get(head)
-        if h is not None:
-            return h
-        link, tails = self._link, []
-        while h is None:
-            tails.append(link.tokens)
-            link = link.parent
-            if link is None:
-                h = hashlib.blake2b(
-                    head + self.prompt_id.encode() + b"\x1f" + self.observation_id.encode()
-                    + b"\x1f",
-                    digest_size=8,
-                )
-            elif (saved := link.saved.get(head)) is not None:
-                h = saved.copy()
-        for tokens in reversed(tails):
-            h.update(_encode(tokens))
-        self._link.saved[head] = h
-        return h
 
 
 class Distribution:
@@ -198,7 +172,7 @@ MEMO_LIMIT = 256
 
 
 def _draw(vocab_size: int, key: int) -> Distribution:
-    """The verifier's distribution for one prefix digest: a pure function of both."""
+    """The verifier's distribution for one prefix key: a pure function of both."""
     rng = np.random.Generator(np.random.PCG64(key))
     return Distribution.from_scores(rng.random(vocab_size))
 
@@ -218,24 +192,24 @@ class HashVerifier:
             raise ValueError(f"vocab_size must be in [2, {MAX_VOCAB_SIZE}]")
         self.vocab_size = int(vocab_size)
         self.seed = int(seed)
-        self._head = _stream_head(b"verifier", self.seed)
+        self._salt = _salt(b"verifier", self.seed)
         self._draw = lru_cache(maxsize=MEMO_LIMIT)(partial(_draw, self.vocab_size))
 
     def next(self, state: PrefixState) -> Distribution:
-        return self._draw(_digest(state._hash_state(self._head)))
+        return self._draw(_mix(state.key ^ self._salt))
 
     def batch(self, state: PrefixState, tree: DraftTree) -> TreeDistributions:
         tree.validate()
-        root = state._hash_state(self._head)
-        # Nodes are stored parents-first, so each node's hasher extends an earlier one.
-        hashers: list[hashlib.blake2b] = []
+        salt = self._salt
+        # Nodes are stored parents-first, so each node's key extends an earlier one.
+        keys: list[int] = []
         dists: list[Distribution] = []
         for node in tree.nodes:
-            h = (root if node.parent < 0 else hashers[node.parent]).copy()
-            h.update(_encode((node.token,)))
-            hashers.append(h)
-            dists.append(self._draw(_digest(h)))
-        return TreeDistributions(root=self._draw(_digest(root)), nodes=dists)
+            parent = state.key if node.parent < 0 else keys[node.parent]
+            key = _mix(parent ^ operator.index(node.token))
+            keys.append(key)
+            dists.append(self._draw(_mix(key ^ salt)))
+        return TreeDistributions(root=self.next(state), nodes=dists)
 
 
 def displacement_pmf(noise_sigma: float, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -282,7 +256,7 @@ class NoisyDraft:
     follow a sharper Gaussian-shaped score kernel around the top-1 token
     (``PROPOSAL_SIGMA``), so cumulative path scores favor deep chains over
     low-probability siblings and the dynamic tree actually uses its depth.
-    All draws are keyed by a hash of the prefix: the same ``(seed, state)``
+    All draws are keyed by the prefix's key: the same ``(seed, state)``
     always yields the same proposals.
     """
 
@@ -305,14 +279,14 @@ class NoisyDraft:
         # scalar dispatch would cost more than the lookup.
         self._offsets = offsets.tolist()
         self._cdf = np.cumsum(probs).tolist()
-        self._agree = _stream_head(b"agree", self.seed)
-        self._displace = _stream_head(b"displace", self.seed)
+        self._agree = _salt(b"agree", self.seed)
+        self._displace = _salt(b"displace", self.seed)
         # At most V rankings per k, so the cache needs no bound.
         self._ranked = cache(partial(_ranked, self.vocab_size))
 
     @staticmethod
-    def _uniform(head: bytes, state: PrefixState) -> float:
-        return _digest(state._hash_state(head)) / 2.0**64
+    def _uniform(salt: int, state: PrefixState) -> float:
+        return _mix(state.key ^ salt) / 2.0**64
 
     def _center(self, state: PrefixState) -> int:
         """Top-1 proposal for this prefix: verifier argmax, possibly displaced."""

@@ -260,6 +260,28 @@ class TestBadProposals:
         with pytest.raises(TreeStructureError, match="log-score"):
             build_tree(PrefixState(), FixedDraft(proposals), self.PARAMS, VOCAB)
 
+    @pytest.mark.parametrize(
+        "proposals",
+        [
+            [(10.5, -0.1), (11, -0.2), (12, -0.3)],
+            [("7", -0.1), (11, -0.2), (12, -0.3)],
+            [(10, "x"), (11, -0.2), (12, -0.3)],
+            [7, (11, -0.2), (12, -0.3)],
+            [(1, -0.1, 0), (11, -0.2), (12, -0.3)],
+        ],
+        ids=["float-token", "str-token", "str-score", "bare-token", "triple"],
+    )
+    def test_malformed_proposal_rejected(self, proposals):
+        with pytest.raises(TreeStructureError, match="is not an"):
+            build_tree(PrefixState(), FixedDraft(proposals), self.PARAMS, VOCAB)
+
+    def test_numpy_tokens_stored_as_ints(self):
+        plain = [(10, -0.1), (11, -0.2), (12, -0.3)]
+        numpy = [(np.int64(10), -0.1), (np.int32(11), np.float64(-0.2)), (np.uint8(12), -0.3)]
+        tree = build_tree(PrefixState(), FixedDraft(numpy), self.PARAMS, VOCAB)
+        assert all(type(node.token) is int for node in tree.nodes)
+        assert tree == build_tree(PrefixState(), FixedDraft(plain), self.PARAMS, VOCAB)
+
     def test_duplicate_token_under_one_parent_rejected(self):
         draft = FixedDraft([(10, -0.1), (10, -0.2), (12, -0.3)])
         with pytest.raises(TreeStructureError, match="twice"):

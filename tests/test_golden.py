@@ -27,14 +27,14 @@ def sha256(text: str) -> str:
     [
         pytest.param(
             dict(episodes=3, target_length=35),
-            "0a928d93d761bda746b1a4a93d4659a343722ab9867aa91e36001ec5ba43d138",
-            "c2f472bf000ff6e95017f0fd24f8aaaa9742bbe47decc173bdcb63f7b9b23e30",
+            "b1efdfe61c673bfa8d06f377cdd3e3f462529a869ed3c1eaee05a6a2fc75fc90",
+            "415ece8a68e2353aed4403bfcb2394cc6b1c0d1788af70c39b77cc280b6c496f",
             id="tree",
         ),
         pytest.param(
             dict(episodes=2, target_length=140, top_k=1, max_nodes=4),
-            "4979257238d61bb11744f0e7532925279d302a2a5e73a7ee572e1604dc071fa2",
-            "1c263d1ddd1c550d59ca33c63cf37915f4e3bccb17aebcb5f655cf5e0c646b88",
+            "d32719a796c4b01c9ca4a475e3a465076daf48904547d87e14a5e57c6fb9ec0a",
+            "ae3d3664f2af0a77d7aced0d78090f5982a086fe22ed25c78d6a179ec7a4cf18",
             id="chain",
         ),
     ],
@@ -55,22 +55,22 @@ ABLATE_ARGS = ["ablate", "--episodes", "3", "--length", "14", "--seed", "5"]
     [
         pytest.param(
             ABLATE_ARGS + ["--r", "0", "--r", "5", "--r", "9", "--format", "json"],
-            "19b69836882924dae0b3cf39f3f2b17e8412191743414aebe04aa84999681d6b",
+            "1642c892022fde6110a51585c2c04d739ce422e5202b4a69cef05be214d6e48b",
             id="ablate-json",
         ),
         pytest.param(
             ABLATE_ARGS + ["--r", "0", "--r", "5", "--r", "9", "--format", "csv"],
-            "0e735f7a71f8a618525ab6744c5808afcb53666538445f2d11df2555c957fa9d",
+            "2424cc41e3103d0eec42bde344b2302391883461e3da99bd11b54b0d220004fc",
             id="ablate-csv",
         ),
         pytest.param(
             ABLATE_ARGS + ["--r", "0", "--r", "5", "--r", "9", "--format", "table"],
-            "0b8cc47fabd303daa15627fdae1affe39cef1666b6fd517088c1cf00be7dd0d2",
+            "c31c2a04c9a411d23e2bc4525bcbfb8f2114c4a9ac7da388d8d73d161cac7e0c",
             id="ablate-table",
         ),
         pytest.param(
             ["decode", "--seed", "5", "--length", "35", "--r", "9"],
-            "c0a5a40fd4f38a52ee8151773e6e4c62217e7f631a790f87305e690378ca51cf",
+            "0f59c81ade979874f6f428bd2f83e29fa6bcaee86384af0b0771ed6140d352b1",
             id="decode",
         ),
     ],
@@ -97,8 +97,12 @@ LATENCY_CONFIG = {
 @pytest.mark.parametrize(
     "fmt, digest",
     [
-        ("csv", "7f5a6f47bce35df2dae9b87b8e3352b23a0718bf52b27350055313a824f598de"),
-        ("table", "7ee6de84fa28cc5408fbd896fc7bc491565618c49213edbe64a593ace0d263ee"),
+        pytest.param(
+            "csv", "32539def3651dbc2af50b5a88767818371e8fff07be40759eea769c6dbd5a298", id="csv"
+        ),
+        pytest.param(
+            "table", "6c9b1e0eac49b173b4424b9ed1ae0c2e2dc86506ac3005167e06f5de3c211e91", id="table"
+        ),
     ],
 )
 def test_bench_render_matches_pinned_digest(fmt, digest, tmp_path, capsys):

@@ -6,7 +6,6 @@ import hashlib
 import pickle
 import struct
 import sys
-from array import array
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -34,21 +33,33 @@ def state_of(*tokens, prompt="p", obs="o") -> PrefixState:
     return PrefixState(prompt_id=prompt, observation_id=obs, emitted=tuple(tokens))
 
 
-def scratch_digest(seed, tag, prompt_id, observation_id, tokens):
-    """Reference: the whole key hashed from scratch, as a fresh model would."""
-    h = hashlib.blake2b(digest_size=8)
-    h.update(tag)
-    h.update(struct.pack("<q", seed))
-    h.update(prompt_id.encode())
-    h.update(b"\x1f")
-    h.update(observation_id.encode())
-    h.update(b"\x1f")
-    h.update(array("H", tokens).tobytes())
-    return int.from_bytes(h.digest(), "little")
+MASK64 = 2**64 - 1
 
 
-def chain_digest(state, tag, seed):
-    return int.from_bytes(state._hash_state(tag + struct.pack("<q", seed)).digest(), "little")
+def splitmix64(x):
+    """Reference: splitmix64's output function on the state ``x``, one increment on."""
+    z = (x + 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def blake64(data):
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+
+
+def reference_key(prompt_id, observation_id, tokens):
+    """Reference: a state's key folded from scratch out of its fields."""
+    key = blake64(prompt_id.encode() + b"\x1f" + observation_id.encode())
+    for token in tokens:
+        key = splitmix64(key ^ int(token))
+    return key
+
+
+def stream_key(state, tag, seed):
+    """Reference: the key a model stream draws from for ``state``."""
+    salt = blake64(tag + struct.pack("<q", seed))
+    return splitmix64(reference_key(state.prompt_id, state.observation_id, state.emitted) ^ salt)
 
 
 def record_draws(monkeypatch) -> list[tuple[int, Distribution]]:
@@ -66,10 +77,12 @@ def record_draws(monkeypatch) -> list[tuple[int, Distribution]]:
     return draws
 
 
-HEADS = [(b"verifier", 7), (b"agree", 7), (b"displace", 3)]
+class TestPrefixKey:
+    def test_mix_is_splitmix64(self):
+        # The first output of splitmix64 seeded with 0, as published.
+        assert splitmix64(0) == 0xE220A8397B1DCDAF
+        assert models._mix(0) == splitmix64(0)
 
-
-class TestDigestChain:
     @settings(max_examples=300, deadline=None)
     @given(
         roots=st.lists(
@@ -84,19 +97,17 @@ class TestDigestChain:
         ops=st.lists(
             st.tuples(
                 # How the next state is made from an earlier one and the
-                # tokens: linked to it, or built directly or by ``replace``
-                # (a new chain root).
+                # tokens: folded from it, or built directly or by ``replace``.
                 st.sampled_from(["extend", "extend_many", "direct", "replace"]),
                 st.integers(0, 1000),  # which earlier state; repeats make siblings
                 st.lists(st.integers(0, 65535), max_size=6),
-                st.sampled_from([None, *range(len(HEADS))]),  # head queried at once, if any
             ),
             max_size=40,
         ),
     )
-    def test_chain_digest_equals_from_scratch(self, roots, ops):
+    def test_key_equals_the_fold_of_the_fields(self, roots, ops):
         states = [state_of(*tokens, prompt=p, obs=o) for p, o, tokens in roots]
-        for kind, pick, tokens, head in ops:
+        for kind, pick, tokens in ops:
             base = states[pick % len(states)]
             if kind == "extend":
                 new = base.extend(tokens[0] if tokens else 0)
@@ -106,37 +117,16 @@ class TestDigestChain:
                 new = PrefixState(base.prompt_id, base.observation_id, base.emitted + tuple(tokens))
             else:
                 new = dataclasses.replace(base, emitted=base.emitted + tuple(tokens))
-            if head is not None:
-                tag, seed = HEADS[head]
-                assert chain_digest(new, tag, seed) == scratch_digest(
-                    seed, tag, new.prompt_id, new.observation_id, new.emitted
-                )
             states.append(new)
-        # Every head on every state, interleaved, after the chains are built.
-        for state in reversed(states):
-            for tag, seed in HEADS:
-                assert chain_digest(state, tag, seed) == scratch_digest(
-                    seed, tag, state.prompt_id, state.observation_id, state.emitted
-                )
+        for state in states:
+            direct = PrefixState(state.prompt_id, state.observation_id, state.emitted)
+            assert state == direct and state.key == direct.key
+            assert state.key == reference_key(state.prompt_id, state.observation_id, state.emitted)
 
-    def test_head_first_queried_deep_in_a_chain(self):
-        state = state_of(1, 2)
-        for i in range(5000):
-            state = state.extend(i % 256)
-        # The walk back to the root is a loop: 5,000 links do not recurse.
-        assert chain_digest(state, b"agree", 3) == scratch_digest(
-            3, b"agree", "p", "o", state.emitted
-        )
-        # Each token is held once along the chain, not once per link.
-        held, link = 0, state._link
-        while link is not None:
-            held, link = held + len(link.tokens), link.parent
-        assert held == len(state.emitted)
-
-    def test_copies_equal_the_state_and_hash_alike(self):
+    def test_copies_keep_value_and_key(self):
         verifier = HashVerifier(seed=2)
         state = state_of(5, 6, prompt="pk").extend_many([7, 8]).extend(9)
-        expected = verifier.next(state).argmax  # the chain now holds hash states
+        expected = verifier.next(state).argmax
         copies = [
             pickle.loads(pickle.dumps(state)),
             copy.deepcopy(state),
@@ -149,9 +139,32 @@ class TestDigestChain:
             assert repr(other) == repr(state) == (
                 "PrefixState(prompt_id='pk', observation_id='o', emitted=(5, 6, 7, 8, 9))"
             )
-            assert chain_digest(other, b"verifier", 2) == chain_digest(state, b"verifier", 2)
+            assert other.key == state.key == reference_key("pk", "o", (5, 6, 7, 8, 9))
             assert verifier.next(other).argmax == expected
             assert verifier.next(other.extend(1)).argmax == verifier.next(state.extend(1)).argmax
+
+    def test_numpy_tokens_key_like_ints(self):
+        # XOR of a key at or above 2**63 with a numpy int64 overflows, so
+        # cover roots on both sides of it.
+        prompts = [f"np{i}" for i in range(8)]
+        assert {PrefixState(prompt_id=p).key >= 2**63 for p in prompts} == {False, True}
+        for prompt in prompts:
+            expected = PrefixState(prompt_id=prompt, emitted=(5, 7)).key
+            root = PrefixState(prompt_id=prompt)
+            assert PrefixState(prompt_id=prompt, emitted=(np.int64(5), np.uint16(7))).key == expected
+            assert root.extend(np.int64(5)).extend(np.int32(7)).key == expected
+            assert root.extend_many(np.array([5, 7])).key == expected
+
+    def test_non_integer_tokens_rejected(self):
+        # Truncating 5.5 to 5 would give the state another prefix's key.
+        for make in (
+            lambda: PrefixState(emitted=(5.5,)),
+            lambda: PrefixState().extend(5.5),
+            lambda: PrefixState().extend_many([1, "5"]),
+            lambda: PrefixState().extend_many(np.array([5.0])),
+        ):
+            with pytest.raises(TypeError):
+                make()
 
 
 class TestHashVerifier:
@@ -160,8 +173,8 @@ class TestHashVerifier:
         a = HashVerifier(seed=3).next(state_of(1, 2, 3))
         b = HashVerifier(seed=3).next(state_of(1, 2, 3))
         assert a.argmax == b.argmax
-        # Both instances draw from the same key: the prefix digest.
-        assert [key for key, _ in draws] == [chain_digest(state_of(1, 2, 3), b"verifier", 3)] * 2
+        # Both instances draw from the same key: the prefix's verifier stream.
+        assert [key for key, _ in draws] == [stream_key(state_of(1, 2, 3), b"verifier", 3)] * 2
 
     def test_prefixes_differing_by_one_token_differ(self):
         v = HashVerifier(seed=5)
@@ -176,7 +189,7 @@ class TestHashVerifier:
             b = v.next(state_of(*swapped))
             if a.argmax != b.argmax:
                 differing += 1
-            assert chain_digest(state_of(*tokens), b"verifier", 5) != chain_digest(
+            assert stream_key(state_of(*tokens), b"verifier", 5) != stream_key(
                 state_of(*swapped), b"verifier", 5
             )
         # Two unrelated argmaxes collide with probability 1/256.
@@ -188,7 +201,7 @@ class TestHashVerifier:
         HashVerifier(seed=1).next(s)
         HashVerifier(seed=2).next(s)
         keys = [key for key, _ in draws]
-        assert keys == [chain_digest(s, b"verifier", 1), chain_digest(s, b"verifier", 2)]
+        assert keys == [stream_key(s, b"verifier", 1), stream_key(s, b"verifier", 2)]
         assert keys[0] != keys[1]
 
     def test_rejects_bad_vocab(self):
@@ -235,8 +248,8 @@ class TestVerifierBatch:
         draws = record_draws(monkeypatch)
         result = HashVerifier(seed=2).batch(state, tree)  # empty memo: every prefix is drawn
         drawn = dict(draws)
-        assert result.nodes[0] is drawn[chain_digest(extended, b"verifier", 2)]
-        assert result.root is drawn[chain_digest(state, b"verifier", 2)]
+        assert result.nodes[0] is drawn[stream_key(extended, b"verifier", 2)]
+        assert result.root is drawn[stream_key(state, b"verifier", 2)]
         assert len(draws) == 2
         assert result.nodes[0].argmax == v.next(extended).argmax
         assert result.root.argmax == v.next(state).argmax
@@ -254,11 +267,24 @@ class TestVerifierBatch:
             drawn = dict(draws)
             # Tree paths are distinct, so each prefix is its own draw.
             assert len(drawn) == len(draws) == len(tree.nodes) + 1
-            assert result.root is drawn[chain_digest(state, b"verifier", 7)]
+            assert result.root is drawn[stream_key(state, b"verifier", 7)]
             for i in range(len(tree.nodes)):
                 prefix = state.extend_many(token_path(tree, i))
-                assert result.nodes[i] is drawn[chain_digest(prefix, b"verifier", 7)]
+                assert result.nodes[i] is drawn[stream_key(prefix, b"verifier", 7)]
                 assert result.nodes[i].argmax == v.next(prefix).argmax
+
+    def test_numpy_node_tokens_score_like_ints(self):
+        rng = np.random.default_rng(5)
+        tree = random_tree(rng, max_nodes=20)
+        as_numpy = dataclasses.replace(
+            tree,
+            nodes=tuple(dataclasses.replace(n, token=np.int64(n.token)) for n in tree.nodes),
+        )
+        v = HashVerifier(seed=3)
+        for prompt in ("a", "b", "c", "d"):
+            state = state_of(1, 2, prompt=prompt)
+            expected = [d.argmax for d in v.batch(state, tree).nodes]
+            assert [d.argmax for d in v.batch(state, as_numpy).nodes] == expected
 
     def test_max_budget_tree_yields_one_distribution_per_node(self):
         v = HashVerifier(seed=1)
@@ -295,8 +321,8 @@ class TestVerifierBatch:
     def test_shared_models_decode_like_private_ones_across_threads(self):
         params = TreeParams(top_k=3, max_depth=3, max_nodes=12)
         policy = AcceptancePolicy.relaxed(3)
-        # Each state is decoded by two threads at once, so both extend and
-        # hash one digest chain.
+        # Each state is decoded by two threads at once, so both extend it
+        # and share the models' caches.
         states = [state_of(*range(i, i + 48), prompt=f"t{i}") for i in range(8)]
 
         def decode(verifier, draft, state):

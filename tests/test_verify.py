@@ -53,9 +53,10 @@ class AdversarialDraft:
     """Draft model built from a table of proposal lists, bad ones included.
 
     Each prefix gets the table row its tokens hash to.  A proposal is
-    ``(kind, value, log_score)``: ``("near", d)`` proposes the verifier's
-    argmax plus ``d`` (so some drafts are accepted, and edge bins step out of
-    the vocabulary), ``("at", t)`` proposes bin ``t`` outright.  Lists are
+    ``(kind, value, log_score, malformed)``: ``("near", d)`` proposes the
+    verifier's argmax plus ``d`` (so some drafts are accepted, and edge bins
+    step out of the vocabulary), ``("at", t)`` proposes bin ``t`` outright,
+    and a ``malformed`` key of ``MALFORMED`` reshapes the pair.  Lists are
     made lazily, each recorded as it is read.
     """
 
@@ -66,7 +67,10 @@ class AdversarialDraft:
         for state in states:
             row = self.table[hash(state.emitted) % len(self.table)][:k]
             target = self.verifier.next(state).argmax
-            props = [(target + v if kind == "near" else v, s) for kind, v, s in row]
+            props = [
+                MALFORMED.get(bad, lambda *pair: pair)(target + v if kind == "near" else v, s)
+                for kind, v, s, bad in row
+            ]
             self.returned.append(props)
             yield props
 
@@ -88,22 +92,38 @@ class RecordingVerifier:
 
 
 # Mostly well-formed proposals, so that many decodes get past build_tree;
-# the rest carry bad scores (1 in 10), sibling duplicates or
-# out-of-vocabulary bins.
-BAD_SCORES = [0.5, float("nan"), float("inf"), float("-inf")]
+# the rest carry bad scores (1 in 10), sibling duplicates, out-of-vocabulary
+# bins or malformed shapes and types (1 in 10).
+BAD_SCORES = [0.5, float("nan"), float("inf"), float("-inf"), "x"]
+MALFORMED = {
+    "half": lambda token, score: (token + 0.5, score),
+    "str": lambda token, score: (str(token), score),
+    "bare": lambda token, score: token,
+    "triple": lambda token, score: (token, score, 0),
+}
 ADVERSARIAL_PROPOSAL = st.tuples(
     st.sampled_from(["near", "at"]),
     st.integers(-2, 2),
     st.integers(-1, 270),
     st.sampled_from(range(10 * len(BAD_SCORES))),
     st.sampled_from([0.0, -0.5, -1.0]) | st.floats(-3.0, 0.0),
+    st.sampled_from([None] * 9 * len(MALFORMED) + list(MALFORMED)),
 ).map(
     lambda p: (
         p[0],
         p[1] if p[0] == "near" else p[2],
         BAD_SCORES[p[3]] if p[3] < len(BAD_SCORES) else p[4],
+        p[5],
     )
 )
+
+
+def well_formed(proposal):
+    """A proposal ``build_tree`` may rank: an ``(int, float)`` pair, whatever its values."""
+    return (
+        isinstance(proposal, tuple) and len(proposal) == 2
+        and isinstance(proposal[0], int) and isinstance(proposal[1], float)
+    )
 
 
 class TestAcceptToken:
@@ -428,8 +448,8 @@ class TestDecodeEpisode:
             AcceptancePolicy.strict(), 70,
         )
         evals = verifier.nexts + sum(1 + len(tree.nodes) for tree in verifier.trees)
-        # Pinned; drafting the frontier nodes the budget cuts would take 3,892.
-        assert (len(outcomes), evals) == (30, 3010)
+        # Pinned; drafting the frontier nodes the budget cuts would take 4,414.
+        assert (len(outcomes), evals) == (34, 3406)
 
     def test_empty_draft_degrades_to_ar_steps(self):
         verifier = HashVerifier(seed=46)
@@ -478,15 +498,19 @@ class TestAdversarialDrafts:
             except TreeStructureError:
                 # Only a bad proposal may fail a decode.
                 assert any(
-                    not -math.inf < score <= 0.0
+                    not all(well_formed(proposal) for proposal in props)
                     or len({t for t, _ in props}) < len(props)
-                    or not 0 <= token < verifier.vocab_size
+                    or any(
+                        not -math.inf < score <= 0.0 or not 0 <= token < verifier.vocab_size
+                        for token, score in props
+                    )
                     for props in draft.returned
-                    for token, score in props
                 )
                 continue
-            # build_tree checks every score, token and sibling it reads.
+            # build_tree checks every proposal's shape and types, and every
+            # score, token and sibling it reads.
             for props in draft.returned:
+                assert all(well_formed(proposal) for proposal in props)
                 assert len({t for t, _ in props}) == len(props)
                 assert all(0 <= token < verifier.vocab_size for token, _ in props)
                 assert all(-math.inf < score <= 0.0 for _, score in props)
@@ -500,6 +524,25 @@ class TestAdversarialDrafts:
                 for token, ref in zip(outcome.emitted, outcome.reference):
                     assert 0 <= token < verifier.vocab_size
                     assert bin_distance(token, ref) <= policy.r
+
+    @pytest.mark.parametrize(
+        "verifier",
+        [ScriptedVerifier(range(10, 200, 10), vocab_size=256), HashVerifier(seed=62)],
+        ids=["scripted", "hash"],
+    )
+    def test_half_bin_draft_is_structural_error(self, verifier):
+        class HalfBinDraft:
+            """Proposes the verifier's argmax plus half a bin, which truncates to it."""
+
+            def propose_many(self, states, k):
+                return [[(verifier.next(s).argmax + 0.5, -0.1)] for s in states]
+
+        # Unchecked, strict decoding emits (10.5, 20.5, ...) under the scripted verifier.
+        params = TreeParams(top_k=1, max_depth=3, max_nodes=3)
+        with pytest.raises(TreeStructureError, match="is not an"):
+            decode_episode(
+                PrefixState(), verifier, HalfBinDraft(), params, AcceptancePolicy.strict(), 10
+            )
 
 
 class TestNoisyDraftAcceptanceShapes:

@@ -1,20 +1,23 @@
 """Dynamic draft tree: budgeted top-k expansion, validation and path enumeration.
 
 The tree grows level by level.  At each depth every surviving frontier node
-is expanded with the draft model's top-k proposals, the level's children
-are merged into the survivors by cumulative log-score, and only the best
-``max_nodes`` survive.  Because a child's cumulative score never exceeds its
-parent's, the surviving set is automatically closed under parents, and the
-final node list doubles as a topological order.
+is expanded with the draft model's top-k proposals, and every child goes
+into one rank-ordered list, by cumulative log-score, that never holds more
+than ``max_nodes`` candidates: a child enters only while the list has room
+or when it outranks the list's last entry, which then drops out.  Because a
+child's cumulative score never exceeds its parent's, the list is always
+closed under parents, and the final node list doubles as a topological
+order.
 
 A level's proposals are read one frontier node at a time, best-ranked node
 first, from the iterable ``DraftModel.propose_many`` returns.  Reading stops
-at the first frontier node that ``max_nodes`` candidates already outrank
-(survivors of earlier levels, and children read so far).  That cut is
-exact: the node cannot survive this level, its children rank after it, and
-every later frontier node ranks after it too, so none of the unread
-proposals could have entered the tree.  A lazy draft thus never scores the
-states of cut nodes.  Chains and trees take the same path.
+at the first frontier node that has been pushed out of the list.  That cut
+is exact: the node cannot survive, its children rank after it, and every
+later frontier node ranks after it too, so none of the unread proposals
+could have entered the tree.  The draft gets the level's states as a lazy
+sequence whose length is the whole frontier, and each state is built from
+its path only when the draft reads it, so a lazy draft never builds or
+scores the states of cut nodes.  Chains and trees take the same path.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import bisect
 import math
 import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .models import DraftModel, PrefixState
@@ -29,8 +33,9 @@ from .models import DraftModel, PrefixState
 
 class TreeStructureError(ValueError):
     """Raised for malformed trees and draft proposals: dangling parents, bad
-    ordering, size mismatches, proposals that are not (int, log-score) pairs,
-    out-of-vocabulary tokens, bad log-scores, duplicate sibling tokens."""
+    ordering, size mismatches, node tokens that are not integers >= 0,
+    proposals that are not (int, log-score) pairs, out-of-vocabulary tokens,
+    bad log-scores, duplicate sibling tokens."""
 
 
 ROOT = -1  # parent marker for first-level nodes
@@ -72,6 +77,12 @@ class DraftTree:
         # Parents come first, so a repeated root path is a repeated (parent, token).
         seen: set[tuple[int, int]] = set()
         for i, node in enumerate(self.nodes):
+            try:
+                token_ok = operator.index(node.token) >= 0
+            except TypeError:
+                token_ok = False
+            if not token_ok:
+                raise TreeStructureError(f"node {i} token {node.token!r} is not an integer >= 0")
             if node.parent != ROOT and not 0 <= node.parent < i:
                 raise TreeStructureError(
                     f"node {i} has dangling or out-of-order parent {node.parent}"
@@ -84,6 +95,30 @@ class DraftTree:
             if (node.parent, node.token) in seen:
                 raise TreeStructureError(f"node {i} repeats a sibling's token {node.token}")
             seen.add((node.parent, node.token))
+
+
+class _FrontierStates(Sequence[PrefixState]):
+    """One level's frontier states, each built from its path when it is read.
+
+    ``len`` counts every frontier node, but a state the draft never reads
+    is never built.
+    """
+
+    __slots__ = ("_state", "_paths")
+
+    def __init__(self, state: PrefixState, paths: list[tuple[int, ...]]):
+        self._state, self._paths = state, paths
+
+    def __len__(self) -> int:
+        return len(self._paths)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self._state.extend_many, self._paths[index]))
+        return self._state.extend_many(self._paths[index])
+
+    def __iter__(self) -> Iterator[PrefixState]:
+        return map(self._state.extend_many, self._paths)
 
 
 def build_tree(
@@ -101,22 +136,20 @@ def build_tree(
     # structural, so builds and oracles agree on ties.  Log-scores are checked
     # finite and <= 0, so a child's key sorts after its parent's and every
     # prefix of the ranking is closed under parents.
-    ranked: list[tuple[float, int, tuple[int, ...]]] = []  # survivors, in rank order
-    # Nodes to expand next, best first, as (rank in ``ranked``, key).
-    frontier = [(0, (0.0, 0, ()))]
+    max_nodes = params.max_nodes
+    ranked: list[tuple[float, int, tuple[int, ...]]] = []  # the best max_nodes, in order
+    frontier = [(0.0, 0, ())]  # nodes to expand next, best first
 
     for depth in range(1, params.max_depth + 1):
         if not frontier:
             break
-        # Each tree state folds only its path into ``state``'s key.
-        states = [state.extend_many(key[2]) if depth > 1 else state for _, key in frontier]
+        states = _FrontierStates(state, [key[2] for key in frontier]) if depth > 1 else [state]
         proposals = iter(draft.propose_many(states, params.top_k))
-        children: list[tuple[float, int, tuple[int, ...]]] = []  # read so far, sorted
 
-        for rank, key in frontier:
-            # Stop at the first frontier node that ``max_nodes`` candidates
-            # outrank: it, its children and every later frontier node are cut.
-            if rank + bisect.bisect_left(children, key) >= params.max_nodes:
+        for key in frontier:
+            # A frontier node pushed out of ``ranked`` is cut, and so are its
+            # children and every later frontier node: they all rank after it.
+            if ranked and ranked[-1] < key:
                 break
             props = next(proposals, None)
             if props is None:  # fewer lists than states: the rest propose nothing
@@ -147,11 +180,14 @@ def build_tree(
                 if token in siblings:
                     raise TreeStructureError(f"draft proposed token {token} twice under {path}")
                 siblings.add(token)
-                bisect.insort(children, (-(base + logp), depth, path + (token,)))
+                child = (-(base + logp), depth, path + (token,))
+                if len(ranked) < max_nodes:
+                    bisect.insort(ranked, child)
+                elif child < ranked[-1]:
+                    ranked.pop()
+                    bisect.insort(ranked, child)
 
-        # Both lists are sorted runs, so this sort is one linear merge.
-        ranked = sorted(ranked + children)[: params.max_nodes]
-        frontier = [(rank, key) for rank, key in enumerate(ranked) if key[1] == depth]
+        frontier = [key for key in ranked if key[1] == depth]
 
     index_of: dict[tuple[int, ...], int] = {}
     nodes: list[DraftNode] = []

@@ -151,12 +151,13 @@ class Verifier(Protocol):
 
 
 class DraftModel(Protocol):
-    """Proposes up to ``k`` ``(token, log_score)`` pairs per state, best first.
+    """Proposes up to ``k`` ``(token, log_score)`` pairs per state, in any order.
 
     ``propose_many`` returns one proposal list per state, in state order, as
     any iterable: the tree builder reads it in order and stops reading once
     the node budget cuts the remaining states, so a lazy draft never scores
-    those.  A list is a valid return value.
+    those.  A list is a valid return value.  ``states`` may be a lazy
+    sequence that builds each state when it is read.
     """
 
     def propose_many(

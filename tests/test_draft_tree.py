@@ -1,5 +1,9 @@
 """Draft tree construction, budget pruning, validation, and path enumeration."""
 
+import dataclasses
+import random
+from collections.abc import Sequence
+
 import numpy as np
 import pytest
 
@@ -100,6 +104,53 @@ class PoisonedDraft:
         return out
 
 
+class ReorderedDraft:
+    """Wraps a draft; hands back each proposal list worst-first, or shuffled
+    by a seeded shuffle when ``seed`` is given."""
+
+    def __init__(self, inner, seed=None):
+        self.inner = inner
+        self.rng = None if seed is None else random.Random(seed)
+
+    def propose_many(self, states, k):
+        for props in self.inner.propose_many(states, k):
+            props = list(props)
+            if self.rng is None:
+                props.reverse()
+            else:
+                self.rng.shuffle(props)
+            yield props
+
+
+class LevelRecorder:
+    """Wraps a draft; keeps the states object of each level and counts the
+    proposal lists ``build_tree`` reads from it, without touching the states."""
+
+    def __init__(self, inner):
+        self.inner, self.levels, self.read = inner, [], []
+
+    def propose_many(self, states, k):
+        self.levels.append(states)
+        self.read.append(0)
+        for props in self.inner.propose_many(states, k):
+            self.read[-1] += 1
+            yield props
+
+
+def oracle_frontiers(state, draft, params):
+    """Each level's frontier paths, best first, from the oracle: level 1
+    expands the root, and level d the depth d-1 nodes of the best tree that
+    stops at depth d-1."""
+    frontiers = [[()]]
+    for depth in range(1, params.max_depth):
+        kept = exhaustive_rerank_oracle(state, draft, dataclasses.replace(params, max_depth=depth))
+        paths = [path for path in kept if len(path) == depth]
+        if not paths:
+            break
+        frontiers.append(paths)
+    return frontiers
+
+
 class TestBuildTree:
     def test_single_level_is_draft_top_k(self):
         verifier, draft = models_for(1)
@@ -191,6 +242,31 @@ class TestBuildTree:
         with pytest.raises(TreeStructureError, match="log-score nan"):
             build_tree(state, PoisonedDraft(draft, kept), TreeParams(), VOCAB)
 
+    def test_proposal_order_does_not_change_the_tree(self):
+        # Drafts need not list proposals best first: a worst-first or shuffled
+        # list must build the oracle's tree, in the oracle's order.
+        def check(state, draft, params, trial):
+            kept = exhaustive_rerank_oracle(state, draft, params)
+            for reordered in (ReorderedDraft(draft), ReorderedDraft(draft, seed=trial)):
+                tree = build_tree(state, reordered, params, VOCAB)
+                assert [token_path(tree, i) for i in range(len(tree.nodes))] == list(kept)
+                assert [n.cum_score for n in tree.nodes] == list(kept.values())
+
+        rng = np.random.default_rng(13)
+        for trial in range(200):
+            params = TreeParams(
+                top_k=int(rng.integers(1, 5)),
+                max_depth=int(rng.integers(1, 5)),
+                max_nodes=int(rng.integers(1, 21)),
+            )
+            verifier, draft = models_for(
+                int(rng.integers(0, 10_000)),
+                agreement_p=float(rng.uniform(0, 1)),
+                noise_sigma=float(rng.uniform(0.5, 8.0)),
+            )
+            check(PrefixState(prompt_id=f"order{trial}"), draft, params, trial)
+            check(PrefixState(prompt_id=f"tie{trial}"), TiedDraft(trial), params, trial)
+
     def test_budget_respected_under_fuzzing(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
@@ -229,6 +305,69 @@ class TestBuildTree:
             TreeParams(max_depth=0)
         with pytest.raises(ValueError):
             TreeParams(max_nodes=0)
+
+
+class TestFrontierStates:
+    """``build_tree`` hands the draft each level's states as a lazy sequence."""
+
+    def test_len_is_the_frontier_size_at_every_level(self):
+        rng = np.random.default_rng(17)
+        for trial in range(100):
+            params = TreeParams(
+                top_k=int(rng.integers(1, 5)),
+                max_depth=int(rng.integers(1, 5)),
+                max_nodes=int(rng.integers(1, 21)),
+            )
+            verifier, draft = models_for(int(rng.integers(0, 10_000)))
+            for inner in (draft, TiedDraft(trial)):
+                state = PrefixState(prompt_id=f"len{trial}")
+                recorder = LevelRecorder(inner)
+                build_tree(state, recorder, params, VOCAB)
+                frontiers = oracle_frontiers(state, inner, params)
+                assert [len(states) for states in recorder.levels] == list(map(len, frontiers))
+
+    def test_states_read_like_a_tuple(self):
+        verifier, draft = models_for(5)
+        root = PrefixState(prompt_id="seq", emitted=(3, 1, 4))
+        recorder = LevelRecorder(draft)
+        build_tree(root, recorder, TreeParams(), VOCAB)
+        frontiers = oracle_frontiers(root, draft, TreeParams())
+        assert len(recorder.levels) == len(frontiers) == TreeParams().max_depth
+        for states, paths in zip(recorder.levels, frontiers):
+            expected = tuple(root.extend_many(path) for path in paths)
+            n = len(expected)
+            assert isinstance(states, Sequence) and len(states) == n
+            assert tuple(states) == expected
+            assert [s.key for s in states] == [s.key for s in expected]
+            assert [states[i] for i in range(-n, n)] == [expected[i] for i in range(-n, n)]
+            assert [states[i].key for i in range(-n, n)] == [expected[i].key for i in range(-n, n)]
+            for index in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    states[index]
+            for cut in (slice(None), slice(1, None, 2), slice(-3, None), slice(None, None, -1),
+                        slice(5, 2), slice(2, 100)):
+                assert tuple(states[cut]) == expected[cut]
+                assert [s.key for s in states[cut]] == [s.key for s in expected[cut]]
+            assert list(reversed(states)) == list(reversed(expected))
+            assert states.index(expected[-1]) == n - 1 and expected[0] in states
+
+    def test_states_past_the_cut_are_never_built(self, monkeypatch):
+        built = []
+        extend_many = PrefixState.extend_many
+
+        def counting(self, tokens):
+            built.append(tuple(tokens))
+            return extend_many(self, tokens)
+
+        verifier, draft = models_for(3)
+        state = PrefixState(prompt_id="lazy")
+        recorder = LevelRecorder(draft)
+        monkeypatch.setattr(PrefixState, "extend_many", counting)
+        build_tree(state, recorder, TreeParams(), VOCAB)
+        monkeypatch.undo()
+        # The root level reads ``state`` itself; every later read builds one state.
+        assert len(built) == sum(recorder.read[1:])
+        assert sum(recorder.read) < sum(map(len, recorder.levels))
 
 
 class FixedDraft:
@@ -327,6 +466,27 @@ class TestValidate:
             else:
                 with pytest.raises(TreeStructureError, match="repeats"):
                     tree.validate()
+
+    @pytest.mark.parametrize("token", [-3, 2.5, "7", None], ids=["negative", "float", "str", "none"])
+    def test_node_token_must_be_an_integer_at_least_zero(self, token):
+        nodes = (
+            DraftNode(token=5, parent=ROOT, depth=1, cum_score=-0.1),
+            DraftNode(token=token, parent=0, depth=2, cum_score=-0.2),
+        )
+        tree = DraftTree(nodes=nodes, params=TreeParams(top_k=2, max_depth=2, max_nodes=50))
+        with pytest.raises(TreeStructureError, match="not an integer >= 0"):
+            tree.validate()
+        # The verifier validates the tree it scores, so a bad token never
+        # reaches a key fold or an emitted step.
+        with pytest.raises(TreeStructureError, match="not an integer >= 0"):
+            HashVerifier(seed=0).batch(PrefixState(), tree)
+
+    def test_integer_like_node_tokens_accepted(self):
+        nodes = (
+            DraftNode(token=0, parent=ROOT, depth=1, cum_score=-0.1),
+            DraftNode(token=np.int64(255), parent=0, depth=2, cum_score=-0.2),
+        )
+        DraftTree(nodes=nodes, params=TreeParams(top_k=2, max_depth=2, max_nodes=50)).validate()
 
 
 class TestEnumeratePaths:

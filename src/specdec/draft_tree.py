@@ -33,7 +33,8 @@ from .models import DraftModel, PrefixState
 
 class TreeStructureError(ValueError):
     """Raised for malformed trees and draft proposals: dangling parents, bad
-    ordering, size mismatches, node tokens that are not integers >= 0,
+    ordering, size mismatches, node tokens that are not integers >= 0 or
+    lie outside the vocabulary,
     proposals that are not (int, log-score) pairs, out-of-vocabulary tokens,
     bad log-scores, duplicate sibling tokens."""
 
@@ -69,7 +70,9 @@ class DraftTree:
     nodes: tuple[DraftNode, ...]
     params: TreeParams
 
-    def validate(self) -> None:
+    def validate(self, vocab_size: int | None = None) -> None:
+        """Raise ``TreeStructureError`` unless the tree is well formed; node
+        tokens must be integers >= 0, and below ``vocab_size`` if given."""
         if len(self.nodes) > self.params.max_nodes:
             raise TreeStructureError(
                 f"{len(self.nodes)} nodes exceed budget {self.params.max_nodes}"
@@ -78,11 +81,15 @@ class DraftTree:
         seen: set[tuple[int, int]] = set()
         for i, node in enumerate(self.nodes):
             try:
-                token_ok = operator.index(node.token) >= 0
+                token = operator.index(node.token)
             except TypeError:
-                token_ok = False
-            if not token_ok:
+                token = -1
+            if token < 0:
                 raise TreeStructureError(f"node {i} token {node.token!r} is not an integer >= 0")
+            if vocab_size is not None and token >= vocab_size:
+                raise TreeStructureError(
+                    f"node {i} token {token} is outside vocabulary [0, {vocab_size})"
+                )
             if node.parent != ROOT and not 0 <= node.parent < i:
                 raise TreeStructureError(
                     f"node {i} has dangling or out-of-order parent {node.parent}"

@@ -25,7 +25,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
-from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -129,20 +129,59 @@ class Distribution:
 
 
 @dataclass(frozen=True)
-class TreeDistributions:
+class TreeDistributions(Sequence[int]):
     """One verification round over a draft tree.
 
     ``root`` conditions on the committed prefix alone (it scores the first
     tree level), ``nodes[i]`` conditions on the prefix plus node *i*'s full
     root path.  Both come out of the same batched round, matching a single
-    tree-attention forward pass.
+    tree-attention forward pass.  ``nodes`` is any read-only sequence, so a
+    verifier may draw node *i* only when ``nodes[i]`` is read.
+
+    As a sequence of ints the round is the ``verified`` list that
+    ``verify_tree`` takes: item 0 is the root's argmax and item ``i + 1``
+    node *i*'s, each looked up when it is read.
     """
 
     root: Distribution
-    nodes: list[Distribution]
+    nodes: Sequence[Distribution]
+
+    def __len__(self) -> int:
+        return len(self.nodes) + 1
+
+    def __getitem__(self, index):
+        position = range(len(self))[index]  # a range for a slice
+        if isinstance(position, range):
+            return [self[i] for i in position]
+        return self.nodes[position - 1].argmax if position else self.root.argmax
+
+
+class _Draws(Sequence[Distribution]):
+    """The distributions at a list of prefix keys, each drawn when it is read."""
+
+    __slots__ = ("_at", "_keys")
+
+    def __init__(self, at: Callable[[int], Distribution], keys: list[int]):
+        self._at, self._keys = at, keys
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(self._at, self._keys[index]))
+        return self._at(self._keys[index])
 
 
 class Verifier(Protocol):
+    """The large model: the argmax after a prefix, alone or for a whole draft tree.
+
+    ``next`` scores one prefix.  ``batch`` scores the committed prefix and
+    every node of ``tree`` in one round and rejects a malformed tree with
+    ``TreeStructureError``; the engine reads the returned round as its
+    ``verified`` list, so it may leave a node undrawn until it is read.
+    """
+
     vocab_size: int
 
     def next(self, state: PrefixState) -> Distribution: ...
@@ -166,8 +205,8 @@ class DraftModel(Protocol):
 
 
 # Distributions a ``HashVerifier`` keeps, least recently used first out.  A
-# default tree step reads about 100 and draws about 58, so it evicts none of
-# its own; a wider step only redraws, since a draw is a pure function of
+# default tree step looks up about 58 and draws about 50, so it evicts none
+# of its own; a wider step only redraws, since a draw is a pure function of
 # its key.
 MEMO_LIMIT = 256
 
@@ -199,18 +238,19 @@ class HashVerifier:
     def next(self, state: PrefixState) -> Distribution:
         return self._draw(_mix(state.key ^ self._salt))
 
+    def _at(self, key: int) -> Distribution:
+        """The distribution after the prefix whose key is ``key``."""
+        return self._draw(_mix(key ^ self._salt))
+
     def batch(self, state: PrefixState, tree: DraftTree) -> TreeDistributions:
-        tree.validate()
-        salt = self._salt
-        # Nodes are stored parents-first, so each node's key extends an earlier one.
+        tree.validate(self.vocab_size)
+        # Nodes are stored parents-first, so each node's key extends an
+        # earlier one.  Node distributions are drawn when they are read.
         keys: list[int] = []
-        dists: list[Distribution] = []
         for node in tree.nodes:
             parent = state.key if node.parent < 0 else keys[node.parent]
-            key = _mix(parent ^ operator.index(node.token))
-            keys.append(key)
-            dists.append(self._draw(_mix(key ^ salt)))
-        return TreeDistributions(root=self.next(state), nodes=dists)
+            keys.append(_mix(parent ^ operator.index(node.token)))
+        return TreeDistributions(root=self.next(state), nodes=_Draws(self._at, keys))
 
 
 def displacement_pmf(noise_sigma: float, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -102,13 +102,33 @@ def verify_tree(
     score (the enumeration order), then the lower path index.  A tree
     with no nodes degrades to one AR step: the empty path, fully accepted,
     followed by the verifier's bonus token.  ``chosen_path`` indexes
-    :func:`enumerate_paths`.
+    :func:`enumerate_paths`.  ``verified`` is read only at the root, each
+    accepted node that has children and the chosen tip, each once, so it
+    may be a lazy sequence such as the ``TreeDistributions`` a verifier's
+    ``batch`` returns.  A malformed tree raises :class:`TreeStructureError`.
     """
+    tree.validate()
+    return _verify(tree, verified, policy, start_position)
+
+
+def _verify(
+    tree: DraftTree, verified: Sequence[int], policy: AcceptancePolicy, start_position: int
+) -> VerifyOutcome:
+    # ``verify_tree`` without the tree check: ``decode_episode`` verifies only
+    # trees that ``build_tree`` built, which are valid by construction.
     nodes = tree.nodes
     if len(verified) != len(nodes) + 1:
         raise TreeStructureError(
             f"expected {len(nodes) + 1} verifier argmaxes, got {len(verified)}"
         )
+    read: dict[int, int] = {}
+
+    def argmax(j: int) -> int:
+        """The argmax after node ``j`` (ROOT: the committed prefix), looked up once."""
+        if j not in read:
+            read[j] = verified[j + 1]
+        return read[j]
+
     # One parents-first pass: ``tip[i]`` is the deepest node of the accepted
     # prefix on node i's root path (ROOT when none is accepted).  A node
     # extends its parent's tip when that tip is the parent itself and the
@@ -123,8 +143,7 @@ def verify_tree(
             parent_tip = tip[parent]
             has_child[parent] = True
         extends = parent_tip == parent and accept_token(
-            node.token, verified[parent + 1], policy,
-            (start_position + node.depth - 1) % CHUNK_SIZE,
+            node.token, argmax(parent), policy, (start_position + node.depth - 1) % CHUNK_SIZE
         )
         tip.append(i if extends else parent_tip)
 
@@ -143,9 +162,9 @@ def verify_tree(
     while j != ROOT:
         parent = nodes[j].parent
         kept.append(nodes[j].token)
-        refs.append(verified[parent + 1])
+        refs.append(argmax(parent))
         j = parent
-    next_token = int(verified[best_tip + 1])
+    next_token = int(argmax(best_tip))
     bonus_used = best_tip == best_leaf
     return VerifyOutcome(
         accepted=best_accepted,
@@ -194,9 +213,8 @@ def decode_episode(
     vocab_size = verifier.vocab_size
     while len(tokens) < length:
         tree = build_tree(st, draft, params, vocab_size)
-        scores = verifier.batch(st, tree)
-        verified = [scores.root.argmax] + [d.argmax for d in scores.nodes]
-        outcome = verify_tree(tree, verified, policy, start_position=st.position)
+        verified = verifier.batch(st, tree)
+        outcome = _verify(tree, verified, policy, st.position)
         outcomes.append(outcome)
         tokens.extend(outcome.emitted)
         st = st.extend_many(outcome.emitted)

@@ -481,6 +481,19 @@ class TestValidate:
         with pytest.raises(TreeStructureError, match="not an integer >= 0"):
             HashVerifier(seed=0).batch(PrefixState(), tree)
 
+    def test_node_token_outside_the_vocabulary_rejected(self):
+        nodes = (
+            DraftNode(token=5, parent=ROOT, depth=1, cum_score=-0.1),
+            DraftNode(token=300, parent=0, depth=2, cum_score=-0.2),
+        )
+        tree = DraftTree(nodes=nodes, params=TreeParams(top_k=2, max_depth=2, max_nodes=50))
+        tree.validate()  # no vocabulary to check against
+        with pytest.raises(TreeStructureError, match="outside vocabulary"):
+            tree.validate(vocab_size=300)
+        with pytest.raises(TreeStructureError, match="outside vocabulary"):
+            HashVerifier(vocab_size=VOCAB, seed=0).batch(PrefixState(), tree)
+        HashVerifier(vocab_size=301, seed=0).batch(PrefixState(), tree)
+
     def test_integer_like_node_tokens_accepted(self):
         nodes = (
             DraftNode(token=0, parent=ROOT, depth=1, cum_score=-0.1),

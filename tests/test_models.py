@@ -6,6 +6,7 @@ import hashlib
 import pickle
 import struct
 import sys
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -14,13 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdec import models
-from specdec.draft_tree import TreeParams, build_tree
+from specdec.draft_tree import TreeParams, build_tree, enumerate_paths
 from specdec.models import (
     MEMO_LIMIT,
     Distribution,
     HashVerifier,
     PrefixState,
     TimedDraft,
+    TreeDistributions,
     displacement_pmf,
     make_noisy_draft,
 )
@@ -247,6 +249,7 @@ class TestVerifierBatch:
         extended = state.extend(tree.nodes[0].token)
         draws = record_draws(monkeypatch)
         result = HashVerifier(seed=2).batch(state, tree)  # empty memo: every prefix is drawn
+        list(result.nodes)  # a node is drawn when it is read
         drawn = dict(draws)
         assert result.nodes[0] is drawn[stream_key(extended, b"verifier", 2)]
         assert result.root is drawn[stream_key(state, b"verifier", 2)]
@@ -264,6 +267,7 @@ class TestVerifierBatch:
             tree = random_tree(rng, max_nodes=30)
             draws.clear()
             result = v.batch(state, tree)
+            list(result.nodes)  # a node is drawn when it is read
             drawn = dict(draws)
             # Tree paths are distinct, so each prefix is its own draw.
             assert len(drawn) == len(draws) == len(tree.nodes) + 1
@@ -272,6 +276,33 @@ class TestVerifierBatch:
                 prefix = state.extend_many(token_path(tree, i))
                 assert result.nodes[i] is drawn[stream_key(prefix, b"verifier", 7)]
                 assert result.nodes[i].argmax == v.next(prefix).argmax
+
+    def test_round_reads_like_a_list(self):
+        v = HashVerifier(seed=5)
+        state = state_of(7)
+        tree = build_tree(state, make_noisy_draft(v, 0.5, 6.0), TreeParams(), v.vocab_size)
+        result = v.batch(state, tree)
+        n = len(tree.nodes)
+        nodes = [v.next(state.extend_many(token_path(tree, i))).argmax for i in range(n)]
+        verified = [v.next(state).argmax] + nodes
+        assert len(result.nodes) == n and len(result) == n + 1
+        assert result.root.argmax == verified[0]
+        for i in range(-n, n):
+            assert result.nodes[i].argmax == nodes[i]
+        for i in range(-n - 1, n + 1):
+            assert result[i] == verified[i]
+        parts = (slice(None), slice(3, 9), slice(None, None, -2), slice(-5, None), slice(60, 70))
+        for part in parts:
+            assert [d.argmax for d in result.nodes[part]] == nodes[part]
+            assert result[part] == verified[part]
+        assert [d.argmax for d in result.nodes] == nodes
+        assert list(result) == verified and list(reversed(result)) == verified[::-1]
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                result.nodes[index]
+        for index in (n + 1, -n - 2):
+            with pytest.raises(IndexError):
+                result[index]
 
     def test_numpy_node_tokens_score_like_ints(self):
         rng = np.random.default_rng(5)
@@ -364,17 +395,70 @@ class TestVerifierMemo:
         recording = Recording(HashVerifier(seed=4))
         draft = make_noisy_draft(recording, 0.5, 6.0)
         tree = build_tree(state, draft, params, recording.vocab_size)
-        prefixes = {state.emitted, *recording.prefixes}
-        prefixes.update(state.emitted + token_path(tree, i) for i in range(len(tree.nodes)))
+        tree_prefixes = {state.emitted, *recording.prefixes}
+        tree_prefixes.update(state.emitted + token_path(tree, i) for i in range(len(tree.nodes)))
+
+        class ReadLog(Sequence):
+            """One round's node distributions, logging the node indices read."""
+
+            def __init__(self, nodes):
+                self.nodes, self.read = nodes, set()
+
+            def __len__(self):
+                return len(self.nodes)
+
+            def __getitem__(self, i):
+                self.read.add(i)
+                return self.nodes[i]
+
+        class Logging:
+            """The engine's verifier: each round logs what acceptance reads of it."""
+
+            def __init__(self, inner):
+                self.inner, self.vocab_size, self.logs = inner, inner.vocab_size, []
+
+            def batch(self, s, t):
+                scores = self.inner.batch(s, t)
+                self.logs.append(ReadLog(scores.nodes))
+                return TreeDistributions(root=scores.root, nodes=self.logs[-1])
 
         seeds = []
         pcg64 = np.random.PCG64
         monkeypatch.setattr(np.random, "PCG64", lambda seed: seeds.append(seed) or pcg64(seed))
-        verifier = HashVerifier(seed=4)
-        draft = make_noisy_draft(verifier, 0.5, 6.0)
+        inner = HashVerifier(seed=4)
+        verifier = Logging(inner)
+        draft = make_noisy_draft(inner, 0.5, 6.0)
         _, outcomes = decode_episode(state, verifier, draft, params, AcceptancePolicy.strict(), 1)
         assert len(outcomes) == 1
-        assert len(seeds) == len(set(seeds)) == len(prefixes) > len(tree.nodes)
+        # The root, what the draft scored and what acceptance read; nothing else.
+        prefixes = {state.emitted, *recording.prefixes}
+        prefixes.update(state.emitted + token_path(tree, i) for i in verifier.logs[0].read)
+        expected = {stream_key(state_of(*p), b"verifier", 4) for p in prefixes}
+        assert len(seeds) == len(set(seeds)) == len(prefixes) < len(tree_prefixes)
+        assert set(seeds) == expected
+
+    def test_a_step_draws_no_depth_four_leaf_but_the_chosen_tip(self, monkeypatch):
+        draws = record_draws(monkeypatch)
+        params = TreeParams()  # the default tree: the draft never expands depth 4
+        tips = unread = 0
+        for seed in range(8):
+            for policy in (AcceptancePolicy.strict(), AcceptancePolicy.relaxed(9)):
+                verifier = HashVerifier(seed=seed)  # an empty memo
+                draft = make_noisy_draft(verifier, 0.5, 6.0)
+                state = state_of(seed, prompt=f"leaf{seed}")
+                draws.clear()
+                _, (outcome,) = decode_episode(state, verifier, draft, params, policy, 1)
+                drawn = {key for key, _ in draws}
+                tree = build_tree(state, draft, params, verifier.vocab_size)
+                path = enumerate_paths(tree)[outcome.chosen_path]
+                tip = path[outcome.accepted - 1] if outcome.accepted else None
+                for i, node in enumerate(tree.nodes):
+                    if node.depth == 4:
+                        prefix = state.extend_many(token_path(tree, i))
+                        assert (stream_key(prefix, b"verifier", seed) in drawn) == (i == tip)
+                        tips += i == tip
+                        unread += i != tip
+        assert tips and unread
 
     def test_batch_serves_what_next_scored_from_the_memo(self):
         v = HashVerifier(seed=6)

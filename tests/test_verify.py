@@ -1,6 +1,8 @@
 """Strict/relaxed verification, tree selection, and the decoding loops."""
 
 import math
+from collections import Counter
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from specdec.draft_tree import (
     build_tree,
     enumerate_paths,
 )
-from specdec.models import HashVerifier, PrefixState, make_noisy_draft
+from specdec.models import HashVerifier, PrefixState, TreeDistributions, make_noisy_draft
 from specdec.verify import (
     AcceptancePolicy,
     accept_token,
@@ -273,6 +275,14 @@ class TestVerifyTree:
         with pytest.raises(TreeStructureError):
             verify_tree(tree, [1], AcceptancePolicy.strict())
 
+    def test_hand_built_tree_is_validated(self):
+        tree = DraftTree(
+            nodes=(DraftNode(token=-3, parent=ROOT, depth=1, cum_score=-0.1),),
+            params=TreeParams(top_k=1, max_depth=1, max_nodes=1),
+        )
+        with pytest.raises(TreeStructureError, match="not an integer >= 0"):
+            verify_tree(tree, [0, 0], AcceptancePolicy.relaxed(9))
+
     def test_fuzz_matches_enumeration_oracle(self):
         """Chosen path equals exhaustive enumerate+verify per path."""
         rng = np.random.default_rng(12)
@@ -294,6 +304,44 @@ class TestVerifyTree:
             assert outcome.accepted == best[0]
             assert outcome.chosen_path == best[1]
             assert list(outcome.emitted) == best[2]
+
+    def test_reads_each_position_acceptance_needs_once(self):
+        """Only the root, each accepted node with children and the chosen tip are read."""
+
+        class Counted(Sequence):
+            def __init__(self, values):
+                self.values, self.reads = values, Counter()
+
+            def __len__(self):
+                return len(self.values)
+
+            def __getitem__(self, position):
+                self.reads[position] += 1
+                return self.values[position]
+
+        rng = np.random.default_rng(15)
+        for _ in range(300):
+            tree = random_tree(rng, max_nodes=50, vocab_size=24, top_k=3)
+            values = [int(t) for t in rng.integers(0, 24, size=len(tree.nodes) + 1)]
+            r = int(rng.integers(0, 8))
+            policy = AcceptancePolicy.relaxed(r) if r else AcceptancePolicy.strict()
+            start = int(rng.integers(0, 7))
+            verified = Counted(values)
+            outcome = verify_tree(tree, verified, policy, start)
+
+            accepted, has_child = [], set()
+            for node in tree.nodes:
+                above = node.parent == ROOT or accepted[node.parent]
+                dim = (start + node.depth - 1) % 7
+                passes = accept_token(node.token, values[node.parent + 1], policy, dim)
+                accepted.append(above and passes)
+                has_child.add(node.parent)
+            path = enumerate_paths(tree)[outcome.chosen_path] if tree.nodes else []
+            tip = path[outcome.accepted - 1] if outcome.accepted else ROOT
+            expected = {0, tip + 1}
+            expected.update(j + 1 for j in has_child if j != ROOT and accepted[j])
+            assert set(verified.reads) == expected
+            assert set(verified.reads.values()) == {1}
 
     def test_emitted_length_bounds(self):
         rng = np.random.default_rng(13)
@@ -383,6 +431,37 @@ class TestDecodeEpisode:
             )
             assert all(len(o.emitted) == depth + 1 for o in outcomes)
             assert all(o.bonus_used for o in outcomes)
+
+    def test_lazy_rounds_decode_like_eager_ones(self):
+        class Eager:
+            """Draws every node of a round before acceptance reads any."""
+
+            def __init__(self, inner):
+                self.inner, self.vocab_size = inner, inner.vocab_size
+
+            def batch(self, state, tree):
+                scores = self.inner.batch(state, tree)
+                return TreeDistributions(root=scores.root, nodes=list(scores.nodes))
+
+        policies = (
+            AcceptancePolicy.strict(),
+            AcceptancePolicy.relaxed(4),
+            AcceptancePolicy.relaxed(9, per_dimension_r=(9, 0, 3, 9, 1, 6, 0)),
+        )
+        shapes = (
+            TreeParams(),
+            TreeParams(top_k=1, max_depth=4, max_nodes=4),
+            TreeParams(top_k=3, max_depth=5, max_nodes=25),
+        )
+        for seed in range(3):
+            state = PrefixState(prompt_id=f"lazy{seed}")
+            for params in shapes:
+                for policy in policies:
+                    lazy, draft = models_for(seed)
+                    eager, eager_draft = models_for(seed)
+                    assert decode_episode(state, lazy, draft, params, policy, 30) == (
+                        decode_episode(state, Eager(eager), eager_draft, params, policy, 30)
+                    )
 
     def test_truncates_to_exact_length(self):
         verifier, draft = models_for(42, agreement_p=1.0)

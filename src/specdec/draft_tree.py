@@ -1,4 +1,4 @@
-"""Dynamic draft tree: budgeted top-k expansion, validation and path enumeration.
+"""Dynamic draft tree: budgeted top-k expansion, self-checking trees and path enumeration.
 
 The tree grows level by level.  At each depth every surviving frontier node
 is expanded with the draft model's top-k proposals, and every child goes
@@ -32,11 +32,18 @@ from .models import DraftModel, PrefixState
 
 
 class TreeStructureError(ValueError):
-    """Raised for malformed trees and draft proposals: dangling parents, bad
-    ordering, size mismatches, node tokens that are not integers >= 0 or
-    lie outside the vocabulary,
-    proposals that are not (int, log-score) pairs, out-of-vocabulary tokens,
-    bad log-scores, duplicate sibling tokens."""
+    """Raised for a malformed draft tree or draft proposal:
+
+    * a tree over its node budget or max depth;
+    * a node whose parent dangles or comes after it, or whose depth is not
+      its parent's plus one;
+    * a node token that is not an integer >= 0, or lies outside the
+      verifier's vocabulary;
+    * a repeated sibling token;
+    * a proposal that is not an ``(int, log-score)`` pair, or whose
+      log-score is not finite and <= 0;
+    * a ``verified`` list whose length does not match its tree.
+    """
 
 
 ROOT = -1  # parent marker for first-level nodes
@@ -49,12 +56,15 @@ class TreeParams:
     max_nodes: int = 50
 
     def __post_init__(self) -> None:
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if self.max_nodes < 1:
-            raise ValueError("max_nodes must be >= 1")
+        for name in ("top_k", "max_depth", "max_nodes"):
+            value = getattr(self, name)
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -70,9 +80,14 @@ class DraftTree:
     nodes: tuple[DraftNode, ...]
     params: TreeParams
 
-    def validate(self, vocab_size: int | None = None) -> None:
+    def __post_init__(self) -> None:
+        # The one tree check: the dataclass is frozen, so a tree stays well formed.
+        object.__setattr__(self, "nodes", tuple(self.nodes))
+        self.validate()
+
+    def validate(self) -> None:
         """Raise ``TreeStructureError`` unless the tree is well formed; node
-        tokens must be integers >= 0, and below ``vocab_size`` if given."""
+        tokens must be integers >= 0."""
         if len(self.nodes) > self.params.max_nodes:
             raise TreeStructureError(
                 f"{len(self.nodes)} nodes exceed budget {self.params.max_nodes}"
@@ -86,10 +101,6 @@ class DraftTree:
                 token = -1
             if token < 0:
                 raise TreeStructureError(f"node {i} token {node.token!r} is not an integer >= 0")
-            if vocab_size is not None and token >= vocab_size:
-                raise TreeStructureError(
-                    f"node {i} token {token} is outside vocabulary [0, {vocab_size})"
-                )
             if node.parent != ROOT and not 0 <= node.parent < i:
                 raise TreeStructureError(
                     f"node {i} has dangling or out-of-order parent {node.parent}"

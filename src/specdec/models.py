@@ -76,6 +76,7 @@ class PrefixState:
     its whole ``emitted``.  The key is derived from the fields, so
     equality, hashing and ``repr`` ignore it, and copies keep it.  Tokens
     must be integers (``operator.index``); anything else is a ``TypeError``.
+    ``emitted`` is stored as a tuple of ``int``, whatever sequence it came as.
     """
 
     prompt_id: str = "p0"
@@ -84,8 +85,9 @@ class PrefixState:
     key: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "emitted", tuple(map(operator.index, self.emitted)))
         root = _blake64(self.prompt_id.encode() + b"\x1f" + self.observation_id.encode())
-        object.__setattr__(self, "key", _fold(root, map(operator.index, self.emitted)))
+        object.__setattr__(self, "key", _fold(root, self.emitted))
 
     @property
     def position(self) -> int:
@@ -177,9 +179,9 @@ class Verifier(Protocol):
     """The large model: the argmax after a prefix, alone or for a whole draft tree.
 
     ``next`` scores one prefix.  ``batch`` scores the committed prefix and
-    every node of ``tree`` in one round and rejects a malformed tree with
-    ``TreeStructureError``; the engine reads the returned round as its
-    ``verified`` list, so it may leave a node undrawn until it is read.
+    every node of ``tree`` in one round and rejects a node token outside its
+    vocabulary with ``TreeStructureError``; the engine reads the returned
+    round as its ``verified`` list, so it may leave a node undrawn until read.
     """
 
     vocab_size: int
@@ -243,13 +245,18 @@ class HashVerifier:
         return self._draw(_mix(key ^ self._salt))
 
     def batch(self, state: PrefixState, tree: DraftTree) -> TreeDistributions:
-        tree.validate(self.vocab_size)
         # Nodes are stored parents-first, so each node's key extends an
         # earlier one.  Node distributions are drawn when they are read.
         keys: list[int] = []
-        for node in tree.nodes:
+        for i, node in enumerate(tree.nodes):
+            token = operator.index(node.token)
+            if token >= self.vocab_size:
+                from .draft_tree import TreeStructureError
+                raise TreeStructureError(
+                    f"node {i} token {token} is outside vocabulary [0, {self.vocab_size})"
+                )
             parent = state.key if node.parent < 0 else keys[node.parent]
-            keys.append(_mix(parent ^ operator.index(node.token)))
+            keys.append(_mix(parent ^ token))
         return TreeDistributions(root=self.next(state), nodes=_Draws(self._at, keys))
 
 

@@ -13,6 +13,7 @@ action dimension.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,8 +56,9 @@ class AcceptancePolicy:
 
     @classmethod
     def relaxed(cls, r: int, per_dimension_r: Sequence[int] | None = None) -> AcceptancePolicy:
-        overrides = tuple(int(t) for t in per_dimension_r) if per_dimension_r is not None else None
-        return cls(mode="relaxed", r=int(r), per_dimension_r=overrides)
+        # ``operator.index``: a fractional threshold raises instead of truncating.
+        overrides = None if per_dimension_r is None else tuple(map(operator.index, per_dimension_r))
+        return cls(mode="relaxed", r=operator.index(r), per_dimension_r=overrides)
 
     def effective_r(self, dimension: int) -> int:
         if self.per_dimension_r is not None:
@@ -105,17 +107,9 @@ def verify_tree(
     :func:`enumerate_paths`.  ``verified`` is read only at the root, each
     accepted node that has children and the chosen tip, each once, so it
     may be a lazy sequence such as the ``TreeDistributions`` a verifier's
-    ``batch`` returns.  A malformed tree raises :class:`TreeStructureError`.
+    ``batch`` returns.  The tree checked itself when it was constructed;
+    a ``verified`` of the wrong length raises :class:`TreeStructureError`.
     """
-    tree.validate()
-    return _verify(tree, verified, policy, start_position)
-
-
-def _verify(
-    tree: DraftTree, verified: Sequence[int], policy: AcceptancePolicy, start_position: int
-) -> VerifyOutcome:
-    # ``verify_tree`` without the tree check: ``decode_episode`` verifies only
-    # trees that ``build_tree`` built, which are valid by construction.
     nodes = tree.nodes
     if len(verified) != len(nodes) + 1:
         raise TreeStructureError(
@@ -214,7 +208,7 @@ def decode_episode(
     while len(tokens) < length:
         tree = build_tree(st, draft, params, vocab_size)
         verified = verifier.batch(st, tree)
-        outcome = _verify(tree, verified, policy, st.position)
+        outcome = verify_tree(tree, verified, policy, st.position)
         outcomes.append(outcome)
         tokens.extend(outcome.emitted)
         st = st.extend_many(outcome.emitted)

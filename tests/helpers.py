@@ -29,7 +29,6 @@ class ScriptedVerifier:
         return Distribution(self._argmax_at(state.position))
 
     def batch(self, state, tree):
-        tree.validate()
         root = self.next(state)
         nodes = [Distribution(self._argmax_at(state.position + node.depth)) for node in tree.nodes]
         return TreeDistributions(root=root, nodes=nodes)

@@ -306,6 +306,15 @@ class TestBuildTree:
         with pytest.raises(ValueError):
             TreeParams(max_nodes=0)
 
+    @pytest.mark.parametrize("field", ["top_k", "max_depth", "max_nodes"])
+    def test_non_integer_params_rejected(self, field):
+        # A fractional budget would build an over-budget tree or fail deep in numpy.
+        for value in (2.5, 3.0, "3", None):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                TreeParams(**{field: value})
+        params = TreeParams(**{field: np.int64(3)})
+        assert getattr(params, field) == 3 and type(getattr(params, field)) is int
+
 
 class TestFrontierStates:
     """``build_tree`` hands the draft each level's states as a lazy sequence."""
@@ -439,18 +448,16 @@ class TestValidate:
             DraftNode(token=5, parent=ROOT, depth=1, cum_score=-0.1),
             DraftNode(token=6, parent=7, depth=2, cum_score=-0.2),
         )
-        tree = DraftTree(nodes=nodes, params=TreeParams(top_k=2, max_depth=2, max_nodes=50))
         with pytest.raises(TreeStructureError):
-            tree.validate()
+            DraftTree(nodes=nodes, params=TreeParams(top_k=2, max_depth=2, max_nodes=50))
 
     def test_duplicate_sibling_tokens_rejected(self):
         nodes = (
             DraftNode(token=5, parent=ROOT, depth=1, cum_score=-0.1),
             DraftNode(token=5, parent=ROOT, depth=1, cum_score=-0.2),
         )
-        tree = DraftTree(nodes=nodes, params=TreeParams(top_k=2, max_depth=2, max_nodes=50))
         with pytest.raises(TreeStructureError):
-            tree.validate()
+            DraftTree(nodes=nodes, params=TreeParams(top_k=2, max_depth=2, max_nodes=50))
         # Below the root: a repeat under one parent fails, the same token
         # under two parents is two distinct paths.
         for parents, valid in (((0, 0), False), ((0, 1), True)):
@@ -460,12 +467,12 @@ class TestValidate:
                 DraftNode(token=7, parent=parents[0], depth=2, cum_score=-0.3),
                 DraftNode(token=7, parent=parents[1], depth=2, cum_score=-0.4),
             )
-            tree = DraftTree(nodes=nodes, params=TreeParams(top_k=2, max_depth=2, max_nodes=50))
+            params = TreeParams(top_k=2, max_depth=2, max_nodes=50)
             if valid:
-                tree.validate()
+                DraftTree(nodes=nodes, params=params)
             else:
                 with pytest.raises(TreeStructureError, match="repeats"):
-                    tree.validate()
+                    DraftTree(nodes=nodes, params=params)
 
     @pytest.mark.parametrize("token", [-3, 2.5, "7", None], ids=["negative", "float", "str", "none"])
     def test_node_token_must_be_an_integer_at_least_zero(self, token):
@@ -473,26 +480,31 @@ class TestValidate:
             DraftNode(token=5, parent=ROOT, depth=1, cum_score=-0.1),
             DraftNode(token=token, parent=0, depth=2, cum_score=-0.2),
         )
-        tree = DraftTree(nodes=nodes, params=TreeParams(top_k=2, max_depth=2, max_nodes=50))
+        # The tree is never built, so a bad token never reaches a verifier's
+        # key fold or an emitted step.
         with pytest.raises(TreeStructureError, match="not an integer >= 0"):
-            tree.validate()
-        # The verifier validates the tree it scores, so a bad token never
-        # reaches a key fold or an emitted step.
-        with pytest.raises(TreeStructureError, match="not an integer >= 0"):
-            HashVerifier(seed=0).batch(PrefixState(), tree)
+            DraftTree(nodes=nodes, params=TreeParams(top_k=2, max_depth=2, max_nodes=50))
 
     def test_node_token_outside_the_vocabulary_rejected(self):
         nodes = (
             DraftNode(token=5, parent=ROOT, depth=1, cum_score=-0.1),
             DraftNode(token=300, parent=0, depth=2, cum_score=-0.2),
         )
+        # A tree has no vocabulary; the verifier that scores it checks its own.
         tree = DraftTree(nodes=nodes, params=TreeParams(top_k=2, max_depth=2, max_nodes=50))
-        tree.validate()  # no vocabulary to check against
-        with pytest.raises(TreeStructureError, match="outside vocabulary"):
-            tree.validate(vocab_size=300)
         with pytest.raises(TreeStructureError, match="outside vocabulary"):
             HashVerifier(vocab_size=VOCAB, seed=0).batch(PrefixState(), tree)
         HashVerifier(vocab_size=301, seed=0).batch(PrefixState(), tree)
+
+    def test_replace_with_malformed_nodes_rejected(self):
+        tree = build_tree(PrefixState(), models_for(4)[1], TreeParams(), VOCAB)
+        dangling = dataclasses.replace(tree.nodes[-1], parent=len(tree.nodes))
+        with pytest.raises(TreeStructureError, match="dangling"):
+            dataclasses.replace(tree, nodes=tree.nodes[:-1] + (dangling,))
+        with pytest.raises(TreeStructureError, match="exceed budget"):
+            dataclasses.replace(tree, params=TreeParams(max_nodes=len(tree.nodes) - 1))
+        # A list of nodes is stored as a tuple, so it cannot be mutated afterwards.
+        assert dataclasses.replace(tree, nodes=list(tree.nodes)).nodes == tree.nodes
 
     def test_integer_like_node_tokens_accepted(self):
         nodes = (

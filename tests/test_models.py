@@ -157,6 +157,15 @@ class TestPrefixKey:
             assert root.extend(np.int64(5)).extend(np.int32(7)).key == expected
             assert root.extend_many(np.array([5, 7])).key == expected
 
+    def test_emitted_list_is_stored_as_a_tuple(self):
+        from_list = PrefixState(prompt_id="l", emitted=[1, np.int64(2)])
+        from_tuple = PrefixState(prompt_id="l", emitted=(1, 2))
+        assert from_list.emitted == (1, 2) and type(from_list.emitted[1]) is int
+        assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+        assert from_list.key == from_tuple.key
+        assert from_list.extend(3) == from_tuple.extend(3) == PrefixState("l", "o0", (1, 2, 3))
+        assert from_list.extend(3).key == from_tuple.extend(3).key
+
     def test_non_integer_tokens_rejected(self):
         # Truncating 5.5 to 5 would give the state another prefix's key.
         for make in (
@@ -334,9 +343,9 @@ class TestVerifierBatch:
             DraftNode(token=1, parent=ROOT, depth=1, cum_score=-0.1),
             DraftNode(token=2, parent=5, depth=2, cum_score=-0.2),  # dangling parent
         )
-        tree = DraftTree(nodes=nodes, params=TreeParams(top_k=2, max_depth=2, max_nodes=10))
+        # The tree rejects itself, so no verifier is ever handed it.
         with pytest.raises(TreeStructureError):
-            HashVerifier(seed=1).batch(state_of(), tree)
+            DraftTree(nodes=nodes, params=TreeParams(top_k=2, max_depth=2, max_nodes=10))
 
     def test_thread_safety_of_reads(self):
         v = HashVerifier(seed=13)

@@ -171,6 +171,16 @@ class TestAcceptToken:
         with pytest.raises(ValueError):
             AcceptancePolicy(mode="strict", per_dimension_r=(0,) * 7)
 
+    def test_relaxed_thresholds_must_be_integers(self):
+        # Truncating 2.7 to 2 would silently tighten the threshold.
+        with pytest.raises(TypeError):
+            AcceptancePolicy.relaxed(2.7)
+        with pytest.raises(TypeError):
+            AcceptancePolicy.relaxed(3, per_dimension_r=[1, 2, 3, 4, 5, 6, 6.5])
+        policy = AcceptancePolicy.relaxed(np.int64(3), per_dimension_r=np.arange(7))
+        assert policy.r == 3 and policy.per_dimension_r == (0, 1, 2, 3, 4, 5, 6)
+        assert type(policy.r) is int and all(type(t) is int for t in policy.per_dimension_r)
+
 
 def chain_tree(tokens) -> DraftTree:
     """A single root-to-leaf path: node ``i`` holds ``tokens[i]``."""
@@ -276,12 +286,12 @@ class TestVerifyTree:
             verify_tree(tree, [1], AcceptancePolicy.strict())
 
     def test_hand_built_tree_is_validated(self):
-        tree = DraftTree(
-            nodes=(DraftNode(token=-3, parent=ROOT, depth=1, cum_score=-0.1),),
-            params=TreeParams(top_k=1, max_depth=1, max_nodes=1),
-        )
+        # The tree checks itself when constructed, before any verification.
         with pytest.raises(TreeStructureError, match="not an integer >= 0"):
-            verify_tree(tree, [0, 0], AcceptancePolicy.relaxed(9))
+            DraftTree(
+                nodes=(DraftNode(token=-3, parent=ROOT, depth=1, cum_score=-0.1),),
+                params=TreeParams(top_k=1, max_depth=1, max_nodes=1),
+            )
 
     def test_fuzz_matches_enumeration_oracle(self):
         """Chosen path equals exhaustive enumerate+verify per path."""

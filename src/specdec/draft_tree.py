@@ -35,8 +35,8 @@ class TreeStructureError(ValueError):
     """Raised for a malformed draft tree or draft proposal:
 
     * a tree over its node budget or max depth;
-    * a node whose parent dangles or comes after it, or whose depth is not
-      its parent's plus one;
+    * a node whose parent or depth is not an integer, whose parent dangles
+      or comes after it, or whose depth is not its parent's plus one;
     * a node token that is not an integer >= 0, or lies outside the
       verifier's vocabulary;
     * a repeated sibling token;
@@ -87,7 +87,7 @@ class DraftTree:
 
     def validate(self) -> None:
         """Raise ``TreeStructureError`` unless the tree is well formed; node
-        tokens must be integers >= 0."""
+        tokens must be integers >= 0, and parents and depths integers."""
         if len(self.nodes) > self.params.max_nodes:
             raise TreeStructureError(
                 f"{len(self.nodes)} nodes exceed budget {self.params.max_nodes}"
@@ -101,18 +101,22 @@ class DraftTree:
                 token = -1
             if token < 0:
                 raise TreeStructureError(f"node {i} token {node.token!r} is not an integer >= 0")
-            if node.parent != ROOT and not 0 <= node.parent < i:
+            try:
+                parent, depth = operator.index(node.parent), operator.index(node.depth)
+            except TypeError:
                 raise TreeStructureError(
-                    f"node {i} has dangling or out-of-order parent {node.parent}"
-                )
-            expected_depth = 1 if node.parent == ROOT else self.nodes[node.parent].depth + 1
-            if node.depth != expected_depth:
-                raise TreeStructureError(f"node {i} depth {node.depth} != {expected_depth}")
-            if node.depth > self.params.max_depth:
+                    f"node {i} parent {node.parent!r} or depth {node.depth!r} is not an integer"
+                ) from None
+            if parent != ROOT and not 0 <= parent < i:
+                raise TreeStructureError(f"node {i} has dangling or out-of-order parent {parent}")
+            expected_depth = 1 if parent == ROOT else self.nodes[parent].depth + 1
+            if depth != expected_depth:
+                raise TreeStructureError(f"node {i} depth {depth} != {expected_depth}")
+            if depth > self.params.max_depth:
                 raise TreeStructureError(f"node {i} exceeds max depth {self.params.max_depth}")
-            if (node.parent, node.token) in seen:
-                raise TreeStructureError(f"node {i} repeats a sibling's token {node.token}")
-            seen.add((node.parent, node.token))
+            if (parent, token) in seen:
+                raise TreeStructureError(f"node {i} repeats a sibling's token {token}")
+            seen.add((parent, token))
 
 
 class _FrontierStates(Sequence[PrefixState]):

@@ -11,9 +11,9 @@ Both synthetic implementations here are pure functions of ``(seed, inputs)``
 so every experiment is reproducible without any trained weights.  Each
 ``PrefixState`` carries one 64-bit key of its prompt, observation and
 emitted tokens; a model mixes that key with a salt of its own stream and
-seed.  The verifier takes the argmax of a score vector drawn from a
-``PCG64`` generator seeded by that mix, and the draft model tracks the
-verifier argmax with a configurable agreement probability, displacing it
+seed.  The verifier answers with an ``int``: the argmax of a score vector
+drawn from a ``PCG64`` generator seeded by that mix.  The draft model tracks
+the verifier argmax with a configurable agreement probability, displacing it
 by a discrete Gaussian-shaped kernel otherwise.
 """
 
@@ -112,7 +112,7 @@ class PrefixState:
 
 
 class Distribution:
-    """The verifier's argmax at one position: all that acceptance reads of its scores."""
+    """One cached verifier draw: the argmax of its scores, all the engine reads of them."""
 
     __slots__ = ("argmax",)
 
@@ -130,36 +130,14 @@ class Distribution:
         return cls(int((raw / total).argmax()))
 
 
-@dataclass(frozen=True)
 class TreeDistributions(Sequence[int]):
-    """One verification round over a draft tree.
+    """One verification round over a draft tree, as the ints ``verify_tree`` reads.
 
-    ``root`` conditions on the committed prefix alone (it scores the first
-    tree level), ``nodes[i]`` conditions on the prefix plus node *i*'s full
-    root path.  Both come out of the same batched round, matching a single
-    tree-attention forward pass.  ``nodes`` is any read-only sequence, so a
-    verifier may draw node *i* only when ``nodes[i]`` is read.
-
-    As a sequence of ints the round is the ``verified`` list that
-    ``verify_tree`` takes: item 0 is the root's argmax and item ``i + 1``
-    node *i*'s, each looked up when it is read.
+    Item 0 is the argmax after the committed prefix and item ``i + 1`` the
+    argmax after node *i*'s root path, all from one batched round, matching
+    a single tree-attention forward pass.  The round holds one prefix key
+    per item and draws an item only when it is read.
     """
-
-    root: Distribution
-    nodes: Sequence[Distribution]
-
-    def __len__(self) -> int:
-        return len(self.nodes) + 1
-
-    def __getitem__(self, index):
-        position = range(len(self))[index]  # a range for a slice
-        if isinstance(position, range):
-            return [self[i] for i in position]
-        return self.nodes[position - 1].argmax if position else self.root.argmax
-
-
-class _Draws(Sequence[Distribution]):
-    """The distributions at a list of prefix keys, each drawn when it is read."""
 
     __slots__ = ("_at", "_keys")
 
@@ -171,24 +149,36 @@ class _Draws(Sequence[Distribution]):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return list(map(self._at, self._keys[index]))
-        return self._at(self._keys[index])
+            return [self._at(key).argmax for key in self._keys[index]]
+        return self._at(self._keys[index]).argmax
+
+    @property
+    def root(self) -> Distribution:
+        """Item 0's draw; exists only for ``bench/spans.py``, like ``nodes``."""
+        return self._at(self._keys[0])
+
+    @property
+    def nodes(self) -> list[Distribution]:
+        """Every node's draw, all drawn now; exists only for ``bench/spans.py``."""
+        return list(map(self._at, self._keys[1:]))
 
 
 class Verifier(Protocol):
-    """The large model: the argmax after a prefix, alone or for a whole draft tree.
+    """The large model: its greedy next token after a prefix, alone or for a whole draft tree.
 
-    ``next`` scores one prefix.  ``batch`` scores the committed prefix and
-    every node of ``tree`` in one round and rejects a node token outside its
-    vocabulary with ``TreeStructureError``; the engine reads the returned
-    round as its ``verified`` list, so it may leave a node undrawn until read.
+    ``next`` returns the argmax after one prefix.  ``batch`` scores the
+    committed prefix and every node of ``tree`` in one round and returns
+    the argmaxes root first, item ``i + 1`` after node *i*'s root path:
+    the ``verified`` sequence the engine hands ``verify_tree``, which may
+    compute an item only when it is read.  A node token outside the
+    vocabulary raises ``TreeStructureError``.
     """
 
     vocab_size: int
 
-    def next(self, state: PrefixState) -> Distribution: ...
+    def next(self, state: PrefixState) -> int: ...
 
-    def batch(self, state: PrefixState, tree: DraftTree) -> TreeDistributions: ...
+    def batch(self, state: PrefixState, tree: DraftTree) -> Sequence[int]: ...
 
 
 class DraftModel(Protocol):
@@ -237,8 +227,8 @@ class HashVerifier:
         self._salt = _salt(b"verifier", self.seed)
         self._draw = lru_cache(maxsize=MEMO_LIMIT)(partial(_draw, self.vocab_size))
 
-    def next(self, state: PrefixState) -> Distribution:
-        return self._draw(_mix(state.key ^ self._salt))
+    def next(self, state: PrefixState) -> int:
+        return self._at(state.key).argmax
 
     def _at(self, key: int) -> Distribution:
         """The distribution after the prefix whose key is ``key``."""
@@ -246,8 +236,9 @@ class HashVerifier:
 
     def batch(self, state: PrefixState, tree: DraftTree) -> TreeDistributions:
         # Nodes are stored parents-first, so each node's key extends an
-        # earlier one.  Node distributions are drawn when they are read.
-        keys: list[int] = []
+        # earlier one: node i's key is keys[i + 1], and a ROOT (-1) parent
+        # reads the committed prefix's, keys[0].
+        keys = [state.key]
         for i, node in enumerate(tree.nodes):
             token = operator.index(node.token)
             if token >= self.vocab_size:
@@ -255,9 +246,8 @@ class HashVerifier:
                 raise TreeStructureError(
                     f"node {i} token {token} is outside vocabulary [0, {self.vocab_size})"
                 )
-            parent = state.key if node.parent < 0 else keys[node.parent]
-            keys.append(_mix(parent ^ token))
-        return TreeDistributions(root=self.next(state), nodes=_Draws(self._at, keys))
+            keys.append(_mix(keys[node.parent + 1] ^ token))
+        return TreeDistributions(self._at, keys)
 
 
 def displacement_pmf(noise_sigma: float, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -338,7 +328,7 @@ class NoisyDraft:
 
     def _center(self, state: PrefixState) -> int:
         """Top-1 proposal for this prefix: verifier argmax, possibly displaced."""
-        target = self.verifier.next(state).argmax
+        target = self.verifier.next(state)
         if self._uniform(self._agree, state) < self.agreement_p:
             return target
         u = self._uniform(self._displace, state)
@@ -387,11 +377,11 @@ class TimedVerifier:
         self.vocab_size = inner.vocab_size
         self.latency_s = float(latency_s)
 
-    def next(self, state: PrefixState) -> Distribution:
+    def next(self, state: PrefixState) -> int:
         simulate_latency(self.latency_s)
         return self.inner.next(state)
 
-    def batch(self, state: PrefixState, tree: DraftTree) -> TreeDistributions:
+    def batch(self, state: PrefixState, tree: DraftTree) -> Sequence[int]:
         simulate_latency(self.latency_s)
         return self.inner.batch(state, tree)
 

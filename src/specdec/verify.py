@@ -31,6 +31,8 @@ class AcceptancePolicy:
     argmax is at most ``r``.
     ``per_dimension_r`` optionally overrides the threshold for each of the
     7 action dimensions (e.g. to force exact matches on the gripper).
+    Thresholds must be integers (``operator.index``); they are stored as
+    ``int``, and ``per_dimension_r`` as a tuple, whatever sequence it came as.
     """
 
     mode: str = "strict"
@@ -40,6 +42,11 @@ class AcceptancePolicy:
     def __post_init__(self) -> None:
         if self.mode not in ("strict", "relaxed"):
             raise ValueError(f"unknown acceptance mode {self.mode!r}")
+        # ``operator.index``: a fractional threshold raises instead of truncating.
+        object.__setattr__(self, "r", operator.index(self.r))
+        if self.per_dimension_r is not None:
+            overrides = tuple(map(operator.index, self.per_dimension_r))
+            object.__setattr__(self, "per_dimension_r", overrides)
         if self.r < 0:
             raise ValueError("threshold r must be >= 0")
         if self.mode == "strict" and (self.r or self.per_dimension_r is not None):
@@ -56,9 +63,7 @@ class AcceptancePolicy:
 
     @classmethod
     def relaxed(cls, r: int, per_dimension_r: Sequence[int] | None = None) -> AcceptancePolicy:
-        # ``operator.index``: a fractional threshold raises instead of truncating.
-        overrides = None if per_dimension_r is None else tuple(map(operator.index, per_dimension_r))
-        return cls(mode="relaxed", r=operator.index(r), per_dimension_r=overrides)
+        return cls(mode="relaxed", r=r, per_dimension_r=per_dimension_r)
 
     def effective_r(self, dimension: int) -> int:
         if self.per_dimension_r is not None:
@@ -106,7 +111,7 @@ def verify_tree(
     followed by the verifier's bonus token.  ``chosen_path`` indexes
     :func:`enumerate_paths`.  ``verified`` is read only at the root, each
     accepted node that has children and the chosen tip, each once, so it
-    may be a lazy sequence such as the ``TreeDistributions`` a verifier's
+    may be a lazy sequence such as the round of ints a verifier's
     ``batch`` returns.  The tree checked itself when it was constructed;
     a ``verified`` of the wrong length raises :class:`TreeStructureError`.
     """
@@ -176,7 +181,7 @@ def ar_decode(state: PrefixState, verifier: Verifier, length: int) -> tuple[int,
     tokens: list[int] = []
     st = state
     for _ in range(length):
-        token = verifier.next(st).argmax
+        token = verifier.next(st)
         tokens.append(token)
         st = st.extend(token)
     return tuple(tokens)

@@ -8,7 +8,7 @@ the implementation instead of echoing it.
 import numpy as np
 
 from specdec.draft_tree import ROOT, DraftNode, DraftTree, TreeParams, build_tree
-from specdec.models import Distribution, NoisyDraft, PrefixState, TreeDistributions
+from specdec.models import NoisyDraft, PrefixState
 
 
 class ScriptedVerifier:
@@ -26,12 +26,11 @@ class ScriptedVerifier:
         return self.sequence[position % len(self.sequence)]
 
     def next(self, state):
-        return Distribution(self._argmax_at(state.position))
+        return self._argmax_at(state.position)
 
     def batch(self, state, tree):
-        root = self.next(state)
-        nodes = [Distribution(self._argmax_at(state.position + node.depth)) for node in tree.nodes]
-        return TreeDistributions(root=root, nodes=nodes)
+        depths = [0] + [node.depth for node in tree.nodes]
+        return [self._argmax_at(state.position + depth) for depth in depths]
 
 
 class ScriptedDraft:

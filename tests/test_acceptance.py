@@ -136,7 +136,7 @@ def test_step_monotonicity_in_r():
             params = TreeParams(top_k=3, max_depth=4, max_nodes=20)
             tree = build_tree(state, draft, params, verifier.vocab_size)
             scores = verifier.batch(state, tree)
-            verified = [scores.root.argmax] + [d.argmax for d in scores.nodes]
+            verified = list(scores)
             lengths = [
                 verify_tree(tree, verified, policy_of(r), state.position).accepted
                 for r in ladder

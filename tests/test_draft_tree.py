@@ -513,6 +513,23 @@ class TestValidate:
         )
         DraftTree(nodes=nodes, params=TreeParams(top_k=2, max_depth=2, max_nodes=50)).validate()
 
+    def test_non_integer_parent_rejected(self):
+        params = TreeParams(top_k=2, max_depth=2, max_nodes=50)
+        first = DraftNode(token=5, parent=ROOT, depth=1, cum_score=-0.1)
+        child = DraftNode(token=6, parent=0.0, depth=2, cum_score=-0.2)
+        with pytest.raises(TreeStructureError, match="node 1 parent 0.0 .* not an integer"):
+            DraftTree(nodes=(first, child), params=params)
+        DraftTree(nodes=(first, dataclasses.replace(child, parent=np.int64(0))), params=params)
+
+    def test_non_integer_depth_rejected(self):
+        # Accepted, a depth of 2.0 would index a per-dimension threshold in verify_tree.
+        params = TreeParams(top_k=2, max_depth=2, max_nodes=50)
+        first = DraftNode(token=5, parent=ROOT, depth=1, cum_score=-0.1)
+        child = DraftNode(token=6, parent=0, depth=2.0, cum_score=-0.2)
+        with pytest.raises(TreeStructureError, match="node 1 .* depth 2.0 is not an integer"):
+            DraftTree(nodes=(first, child), params=params)
+        DraftTree(nodes=(first, dataclasses.replace(child, depth=np.int64(2))), params=params)
+
 
 class TestEnumeratePaths:
     def test_single_node(self):

@@ -22,7 +22,6 @@ from specdec.models import (
     HashVerifier,
     PrefixState,
     TimedDraft,
-    TreeDistributions,
     displacement_pmf,
     make_noisy_draft,
 )
@@ -128,7 +127,7 @@ class TestPrefixKey:
     def test_copies_keep_value_and_key(self):
         verifier = HashVerifier(seed=2)
         state = state_of(5, 6, prompt="pk").extend_many([7, 8]).extend(9)
-        expected = verifier.next(state).argmax
+        expected = verifier.next(state)
         copies = [
             pickle.loads(pickle.dumps(state)),
             copy.deepcopy(state),
@@ -142,8 +141,8 @@ class TestPrefixKey:
                 "PrefixState(prompt_id='pk', observation_id='o', emitted=(5, 6, 7, 8, 9))"
             )
             assert other.key == state.key == reference_key("pk", "o", (5, 6, 7, 8, 9))
-            assert verifier.next(other).argmax == expected
-            assert verifier.next(other.extend(1)).argmax == verifier.next(state.extend(1)).argmax
+            assert verifier.next(other) == expected
+            assert verifier.next(other.extend(1)) == verifier.next(state.extend(1))
 
     def test_numpy_tokens_key_like_ints(self):
         # XOR of a key at or above 2**63 with a numpy int64 overflows, so
@@ -183,7 +182,7 @@ class TestHashVerifier:
         draws = record_draws(monkeypatch)
         a = HashVerifier(seed=3).next(state_of(1, 2, 3))
         b = HashVerifier(seed=3).next(state_of(1, 2, 3))
-        assert a.argmax == b.argmax
+        assert a == b
         # Both instances draw from the same key: the prefix's verifier stream.
         assert [key for key, _ in draws] == [stream_key(state_of(1, 2, 3), b"verifier", 3)] * 2
 
@@ -198,7 +197,7 @@ class TestHashVerifier:
             swapped[pos] = (swapped[pos] + 1 + int(rng.integers(0, 255))) % 256
             a = v.next(state_of(*tokens))
             b = v.next(state_of(*swapped))
-            if a.argmax != b.argmax:
+            if a != b:
                 differing += 1
             assert stream_key(state_of(*tokens), b"verifier", 5) != stream_key(
                 state_of(*swapped), b"verifier", 5
@@ -258,13 +257,13 @@ class TestVerifierBatch:
         extended = state.extend(tree.nodes[0].token)
         draws = record_draws(monkeypatch)
         result = HashVerifier(seed=2).batch(state, tree)  # empty memo: every prefix is drawn
-        list(result.nodes)  # a node is drawn when it is read
+        list(result)  # a position, the root too, is drawn when it is read
         drawn = dict(draws)
         assert result.nodes[0] is drawn[stream_key(extended, b"verifier", 2)]
         assert result.root is drawn[stream_key(state, b"verifier", 2)]
         assert len(draws) == 2
-        assert result.nodes[0].argmax == v.next(extended).argmax
-        assert result.root.argmax == v.next(state).argmax
+        assert result.nodes[0].argmax == v.next(extended)
+        assert result.root.argmax == v.next(state)
 
     def test_batch_equals_serial_recomputation(self, monkeypatch):
         """Oracle: walk each node's ancestor path and query next() serially."""
@@ -276,7 +275,7 @@ class TestVerifierBatch:
             tree = random_tree(rng, max_nodes=30)
             draws.clear()
             result = v.batch(state, tree)
-            list(result.nodes)  # a node is drawn when it is read
+            list(result)  # a position, the root too, is drawn when it is read
             drawn = dict(draws)
             # Tree paths are distinct, so each prefix is its own draw.
             assert len(drawn) == len(draws) == len(tree.nodes) + 1
@@ -284,7 +283,7 @@ class TestVerifierBatch:
             for i in range(len(tree.nodes)):
                 prefix = state.extend_many(token_path(tree, i))
                 assert result.nodes[i] is drawn[stream_key(prefix, b"verifier", 7)]
-                assert result.nodes[i].argmax == v.next(prefix).argmax
+                assert result.nodes[i].argmax == v.next(prefix)
 
     def test_round_reads_like_a_list(self):
         v = HashVerifier(seed=5)
@@ -292,8 +291,8 @@ class TestVerifierBatch:
         tree = build_tree(state, make_noisy_draft(v, 0.5, 6.0), TreeParams(), v.vocab_size)
         result = v.batch(state, tree)
         n = len(tree.nodes)
-        nodes = [v.next(state.extend_many(token_path(tree, i))).argmax for i in range(n)]
-        verified = [v.next(state).argmax] + nodes
+        nodes = [v.next(state.extend_many(token_path(tree, i))) for i in range(n)]
+        verified = [v.next(state)] + nodes
         assert len(result.nodes) == n and len(result) == n + 1
         assert result.root.argmax == verified[0]
         for i in range(-n, n):
@@ -312,6 +311,14 @@ class TestVerifierBatch:
         for index in (n + 1, -n - 2):
             with pytest.raises(IndexError):
                 result[index]
+
+    def test_fresh_round_draws_nothing_until_read(self, monkeypatch):
+        draws = record_draws(monkeypatch)
+        tree = random_tree(np.random.default_rng(8), max_nodes=30)
+        result = HashVerifier(seed=11).batch(state_of(3, 1), tree)
+        assert draws == [] and len(result) == len(tree.nodes) + 1
+        assert [result.root.argmax] + [d.argmax for d in result.nodes] == list(result)
+        assert len(draws) == len(result)
 
     def test_numpy_node_tokens_score_like_ints(self):
         rng = np.random.default_rng(5)
@@ -408,17 +415,17 @@ class TestVerifierMemo:
         tree_prefixes.update(state.emitted + token_path(tree, i) for i in range(len(tree.nodes)))
 
         class ReadLog(Sequence):
-            """One round's node distributions, logging the node indices read."""
+            """One round's argmaxes, logging the positions read (0 is the root)."""
 
-            def __init__(self, nodes):
-                self.nodes, self.read = nodes, set()
+            def __init__(self, items):
+                self.items, self.read = items, set()
 
             def __len__(self):
-                return len(self.nodes)
+                return len(self.items)
 
             def __getitem__(self, i):
                 self.read.add(i)
-                return self.nodes[i]
+                return self.items[i]
 
         class Logging:
             """The engine's verifier: each round logs what acceptance reads of it."""
@@ -427,9 +434,8 @@ class TestVerifierMemo:
                 self.inner, self.vocab_size, self.logs = inner, inner.vocab_size, []
 
             def batch(self, s, t):
-                scores = self.inner.batch(s, t)
-                self.logs.append(ReadLog(scores.nodes))
-                return TreeDistributions(root=scores.root, nodes=self.logs[-1])
+                self.logs.append(ReadLog(self.inner.batch(s, t)))
+                return self.logs[-1]
 
         seeds = []
         pcg64 = np.random.PCG64
@@ -441,7 +447,7 @@ class TestVerifierMemo:
         assert len(outcomes) == 1
         # The root, what the draft scored and what acceptance read; nothing else.
         prefixes = {state.emitted, *recording.prefixes}
-        prefixes.update(state.emitted + token_path(tree, i) for i in verifier.logs[0].read)
+        prefixes.update(state.emitted + token_path(tree, i - 1) for i in verifier.logs[0].read if i)
         expected = {stream_key(state_of(*p), b"verifier", 4) for p in prefixes}
         assert len(seeds) == len(set(seeds)) == len(prefixes) < len(tree_prefixes)
         assert set(seeds) == expected
@@ -469,7 +475,8 @@ class TestVerifierMemo:
                         unread += i != tip
         assert tips and unread
 
-    def test_batch_serves_what_next_scored_from_the_memo(self):
+    def test_batch_serves_what_next_scored_from_the_memo(self, monkeypatch):
+        draws = record_draws(monkeypatch)
         v = HashVerifier(seed=6)
         state = state_of(1, 2)
         tree = build_tree(
@@ -482,9 +489,14 @@ class TestVerifierMemo:
             for i, node in enumerate(tree.nodes)
             if node.depth == 1
         }
+        drawn = len(draws)
         result = v.batch(state, tree)
-        assert result.root is first  # served from the memo
-        assert expanded and all(result.nodes[i] is dist for i, dist in expanded.items())
+        assert result[0] == first
+        assert expanded and all(result[i + 1] == token for i, token in expanded.items())
+        assert len(draws) == drawn  # served from the memo
+        leaf = next(i for i, node in enumerate(tree.nodes) if node.depth == 2)
+        result[leaf + 1]  # a prefix nothing scored yet
+        assert len(draws) == drawn + 1
 
     def test_memo_is_bounded_without_batched_rounds(self):
         v = HashVerifier(seed=6)
@@ -509,7 +521,7 @@ class TestVerifierMemo:
         relaxed, _ = decode_episode(state, verifier, draft, params, AcceptancePolicy.relaxed(9), 28)
         assert len(relaxed) == 28
         for i, token in enumerate(relaxed):
-            reference = fresh.next(state.extend_many(relaxed[:i])).argmax
+            reference = fresh.next(state.extend_many(relaxed[:i]))
             assert 0 <= token < verifier.vocab_size and abs(token - reference) <= 9
 
 
@@ -520,7 +532,7 @@ class TestNoisyDraft:
         for i in range(50):
             state = state_of(i % 256, (3 * i) % 256)
             (((token, logp),),) = draft.propose_many([state], 1)
-            assert token == v.next(state).argmax
+            assert token == v.next(state)
             assert logp <= 0.0
 
     def test_top8_distinct_and_sorted(self):
@@ -558,7 +570,7 @@ class TestNoisyDraft:
             tokens = tuple(int(t) for t in rng.integers(0, 256, size=rng.integers(0, 4)))
             state = state_of(*tokens)
             top = list(draft.propose_many([state], 1))[0][0][0]
-            assert top == v.next(state).argmax
+            assert top == v.next(state)
 
     def test_deterministic_proposals(self):
         v = HashVerifier(seed=24)
@@ -584,7 +596,7 @@ class TestNoisyDraft:
         for i in range(n):
             state = PrefixState(prompt_id=f"cal{i}", observation_id="o")
             top = list(draft.propose_many([state], 1))[0][0][0]
-            agree += top == v.next(state).argmax
+            agree += top == v.next(state)
         se = (p * (1 - p) / n) ** 0.5
         # Clamping at the vocabulary edge can fold a displacement back onto
         # the argmax, adding ~(1-p) * 2/V * one_sided_tail of accidental

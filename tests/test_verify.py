@@ -19,7 +19,7 @@ from specdec.draft_tree import (
     build_tree,
     enumerate_paths,
 )
-from specdec.models import HashVerifier, PrefixState, TreeDistributions, make_noisy_draft
+from specdec.models import HashVerifier, PrefixState, make_noisy_draft
 from specdec.verify import (
     AcceptancePolicy,
     accept_token,
@@ -68,7 +68,7 @@ class AdversarialDraft:
     def propose_many(self, states, k):
         for state in states:
             row = self.table[hash(state.emitted) % len(self.table)][:k]
-            target = self.verifier.next(state).argmax
+            target = self.verifier.next(state)
             props = [
                 MALFORMED.get(bad, lambda *pair: pair)(target + v if kind == "near" else v, s)
                 for kind, v, s, bad in row
@@ -180,6 +180,17 @@ class TestAcceptToken:
         policy = AcceptancePolicy.relaxed(np.int64(3), per_dimension_r=np.arange(7))
         assert policy.r == 3 and policy.per_dimension_r == (0, 1, 2, 3, 4, 5, 6)
         assert type(policy.r) is int and all(type(t) is int for t in policy.per_dimension_r)
+
+    def test_policy_thresholds_are_integers_however_built(self):
+        # The check lives in ``__post_init__``, so direct construction gets it too.
+        with pytest.raises(TypeError):
+            AcceptancePolicy(mode="relaxed", r=2.7)
+        with pytest.raises(TypeError):
+            AcceptancePolicy(mode="relaxed", per_dimension_r=(1, 2, 3, 4, 5, 6, 6.5))
+        policy = AcceptancePolicy(mode="relaxed", r=np.int64(4), per_dimension_r=np.arange(7))
+        assert policy.r == 4 and policy.per_dimension_r == (0, 1, 2, 3, 4, 5, 6)
+        assert type(policy.r) is int and all(type(t) is int for t in policy.per_dimension_r)
+        assert policy == AcceptancePolicy.relaxed(4, per_dimension_r=range(7))
 
 
 def chain_tree(tokens) -> DraftTree:
@@ -402,7 +413,7 @@ class TestArDecode:
     def test_single_token(self):
         verifier = HashVerifier(seed=31)
         state = PrefixState()
-        assert ar_decode(state, verifier, 1) == (verifier.next(state).argmax,)
+        assert ar_decode(state, verifier, 1) == (verifier.next(state),)
 
     def test_deterministic(self):
         verifier = HashVerifier(seed=32)
@@ -450,8 +461,7 @@ class TestDecodeEpisode:
                 self.inner, self.vocab_size = inner, inner.vocab_size
 
             def batch(self, state, tree):
-                scores = self.inner.batch(state, tree)
-                return TreeDistributions(root=scores.root, nodes=list(scores.nodes))
+                return list(self.inner.batch(state, tree))
 
         policies = (
             AcceptancePolicy.strict(),
@@ -519,7 +529,7 @@ class TestDecodeEpisode:
             """Scores every state it gets with the verifier, then proposes ``token``."""
 
             def propose_many(self, states, k):
-                return [[(verifier.next(s).argmax, -0.1), (token, -0.2)] for s in states]
+                return [[(verifier.next(s), -0.1), (token, -0.2)] for s in states]
 
         verifier = HashVerifier(seed=47)
         params = TreeParams(top_k=2, max_depth=3, max_nodes=6)
@@ -624,7 +634,7 @@ class TestAdversarialDrafts:
             """Proposes the verifier's argmax plus half a bin, which truncates to it."""
 
             def propose_many(self, states, k):
-                return [[(verifier.next(s).argmax + 0.5, -0.1)] for s in states]
+                return [[(verifier.next(s) + 0.5, -0.1)] for s in states]
 
         # Unchecked, strict decoding emits (10.5, 20.5, ...) under the scripted verifier.
         params = TreeParams(top_k=1, max_depth=3, max_nodes=3)

@@ -14,16 +14,24 @@ first, from the iterable ``DraftModel.propose_many`` returns.  Reading stops
 at the first frontier node that has been pushed out of the list.  That cut
 is exact: the node cannot survive, its children rank after it, and every
 later frontier node ranks after it too, so none of the unread proposals
-could have entered the tree.  The draft gets the level's states as a lazy
-sequence whose length is the whole frontier, and each state is built from
-its path only when the draft reads it, so a lazy draft never builds or
-scores the states of cut nodes.  Chains and trees take the same path.
+could have entered the tree.  Reading also stops, once the list is full, at
+the first frontier node whose best possible child ranks after the list's
+last entry, by the draft's declared ``max_log_score`` (0.0 if it declares
+none).  That cut is exact too: a child of a node with rank score ``key``
+has rank score ``-(cum + logp) >= fl(key - bound)``, because rounding is
+monotone; later frontier nodes rank after this one; and the last entry
+only gets better while the level is read.  The draft gets the level's
+states as a lazy sequence whose length is the whole frontier, and each
+state is built from its path only when the draft reads it, so a lazy draft
+never builds or scores the states of cut nodes.  Chains and trees take the
+same path.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -41,7 +49,8 @@ class TreeStructureError(ValueError):
       verifier's vocabulary;
     * a repeated sibling token;
     * a proposal that is not an ``(int, log-score)`` pair, or whose
-      log-score is not finite and <= 0;
+      log-score is not finite and at most the draft's ``max_log_score``;
+    * a draft ``max_log_score`` that is not a real number in (-inf, 0];
     * a ``verified`` list whose length does not match its tree.
     """
 
@@ -148,16 +157,21 @@ def build_tree(
 ) -> DraftTree:
     """Grow a draft tree from ``state`` under the given expansion budget.
 
-    Raises :class:`TreeStructureError` for a proposal it reads that is not
+    Raises :class:`TreeStructureError` for a draft ``max_log_score`` that is
+    not a real number in (-inf, 0], and for a proposal it reads that is not
     an ``(int, log-score)`` pair, whose token lies outside
-    ``[0, vocab_size)``, whose log-score is non-finite or positive, or whose
-    token repeats a sibling's.
+    ``[0, vocab_size)``, whose log-score is non-finite or above that bound,
+    or whose token repeats a sibling's.
     """
     # Each candidate is stored as its rank key (-cum_score, depth, path): best
     # score first, then shallower, then lexicographic token path.  Fully
     # structural, so builds and oracles agree on ties.  Log-scores are checked
     # finite and <= 0, so a child's key sorts after its parent's and every
     # prefix of the ranking is closed under parents.
+    bound = getattr(draft, "max_log_score", 0.0)
+    # ``float`` first: an ABC check alone costs about 1 us on every call.
+    if not (isinstance(bound, (float, numbers.Real)) and -math.inf < bound <= 0.0):
+        raise TreeStructureError(f"draft max_log_score {bound!r} is not a real number in (-inf, 0]")
     max_nodes = params.max_nodes
     ranked: list[tuple[float, int, tuple[int, ...]]] = []  # the best max_nodes, in order
     frontier = [(0.0, 0, ())]  # nodes to expand next, best first
@@ -171,7 +185,10 @@ def build_tree(
         for key in frontier:
             # A frontier node pushed out of ``ranked`` is cut, and so are its
             # children and every later frontier node: they all rank after it.
+            # So is one whose best possible child ranks after a full list.
             if ranked and ranked[-1] < key:
+                break
+            if len(ranked) == max_nodes and key[0] - bound > ranked[-1][0]:
                 break
             props = next(proposals, None)
             if props is None:  # fewer lists than states: the rest propose nothing
@@ -185,8 +202,9 @@ def build_tree(
                     # An integer token, so the models can fold it into a key.
                     token = operator.index(token)
                     # The ranking needs finite log-scores <= 0 (a child never
-                    # outranks its parent) and one candidate per token.
-                    score_ok = -math.inf < logp <= 0.0
+                    # outranks its parent), within the declared bound, and
+                    # one candidate per token.
+                    score_ok = -math.inf < logp <= bound
                 except (TypeError, ValueError):
                     raise TreeStructureError(
                         f"draft proposal {proposal!r} is not an (int, log-score) pair"
@@ -197,7 +215,7 @@ def build_tree(
                     )
                 if not score_ok:
                     raise TreeStructureError(
-                        f"draft log-score {logp} for token {token} is not finite and <= 0"
+                        f"draft log-score {logp} for token {token} is not finite and <= {bound}"
                     )
                 if token in siblings:
                     raise TreeStructureError(f"draft proposed token {token} twice under {path}")

@@ -14,6 +14,7 @@ about downstream task performance.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -31,17 +32,18 @@ class CostModel:
 
     ``verify_latency`` is the cost of one verifier round (an AR step or a
     batched tree verification); ``draft_latency`` the cost of one draft
-    proposal round (one tree level).  Free drafts are allowed.
+    proposal round (one tree level).  Free drafts are allowed.  Both must
+    be finite.
     """
 
     verify_latency: float
     draft_latency: float
 
     def __post_init__(self) -> None:
-        if not self.verify_latency > 0.0:
-            raise ValueError("verify_latency must be positive")
-        if not self.draft_latency >= 0.0:
-            raise ValueError("draft_latency must be >= 0")
+        if not 0.0 < self.verify_latency < math.inf:
+            raise ValueError("verify_latency must be positive and finite")
+        if not 0.0 <= self.draft_latency < math.inf:
+            raise ValueError("draft_latency must be finite and >= 0")
 
 
 @dataclass(frozen=True)

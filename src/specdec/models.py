@@ -20,6 +20,7 @@ by a discrete Gaussian-shaped kernel otherwise.
 from __future__ import annotations
 
 import hashlib
+import math
 import operator
 import time
 from bisect import bisect_right
@@ -189,6 +190,12 @@ class DraftModel(Protocol):
     the node budget cuts the remaining states, so a lazy draft never scores
     those.  A list is a valid return value.  ``states`` may be a lazy
     sequence that builds each state when it is read.
+
+    A draft may also declare ``max_log_score``, a float in (-inf, 0] that no
+    proposal's log-score exceeds.  ``build_tree`` then stops reading a level
+    as soon as no child of the next frontier node could enter the tree; a
+    draft without it is read as if it declared 0.0, the bound every draft
+    obeys.
     """
 
     def propose_many(
@@ -296,6 +303,11 @@ class NoisyDraft:
     low-probability siblings and the dynamic tree actually uses its depth.
     All draws are keyed by the prefix's key: the same ``(seed, state)``
     always yields the same proposals.
+
+    ``max_log_score`` is the best log-score any proposal can have.  The top
+    proposal is always the center bin, and its share of the kernel is
+    largest where the vocabulary edge cuts the kernel, so the bound is the
+    top log-score at center 0 or V - 1, whatever ``k``.
     """
 
     def __init__(
@@ -321,6 +333,7 @@ class NoisyDraft:
         self._displace = _salt(b"displace", self.seed)
         # At most V rankings per k, so the cache needs no bound.
         self._ranked = cache(partial(_ranked, self.vocab_size))
+        self.max_log_score = max(self._ranked(c, 1)[0][1] for c in (0, self.vocab_size - 1))
 
     @staticmethod
     def _uniform(salt: int, state: PrefixState) -> float:
@@ -354,6 +367,14 @@ def make_noisy_draft(
     return NoisyDraft(verifier, agreement_p=agreement_p, noise_sigma=noise_sigma, seed=seed)
 
 
+def _latency(seconds: float) -> float:
+    """``seconds`` as a float, or ``ValueError`` unless it is finite and >= 0."""
+    seconds = float(seconds)
+    if not 0.0 <= seconds < math.inf:
+        raise ValueError(f"latency must be finite and >= 0, got {seconds}")
+    return seconds
+
+
 def simulate_latency(seconds: float) -> None:
     """Block for ``seconds`` by spinning on ``perf_counter`` to the deadline.
 
@@ -375,7 +396,7 @@ class TimedVerifier:
     def __init__(self, inner: Verifier, latency_s: float):
         self.inner = inner
         self.vocab_size = inner.vocab_size
-        self.latency_s = float(latency_s)
+        self.latency_s = _latency(latency_s)
 
     def next(self, state: PrefixState) -> int:
         simulate_latency(self.latency_s)
@@ -390,12 +411,14 @@ class TimedDraft:
     """Wrap a draft model so every proposal round costs a fixed latency.
 
     ``propose_many`` covers one whole tree level in a single round, matching
-    how a real draft head batches a level per forward pass.
+    how a real draft head batches a level per forward pass.  It declares
+    the inner draft's ``max_log_score``, or 0.0 if that declares none.
     """
 
     def __init__(self, inner: DraftModel, latency_s: float):
         self.inner = inner
-        self.latency_s = float(latency_s)
+        self.latency_s = _latency(latency_s)
+        self.max_log_score = getattr(inner, "max_log_score", 0.0)
 
     def propose_many(
         self, states: Sequence[PrefixState], k: int

@@ -63,6 +63,20 @@ class ScriptedDraft:
         return [self._propose(s, k) for s in states]
 
 
+class WithBound:
+    """Wraps a draft and forwards only ``propose_many``.  It declares
+    ``bound`` as its ``max_log_score`` when one is given, and no bound
+    otherwise, so ``build_tree`` reads 0.0 in place of the draft's own."""
+
+    def __init__(self, inner, bound=None):
+        self.inner = inner
+        if bound is not None:
+            self.max_log_score = bound
+
+    def propose_many(self, states, k):
+        return self.inner.propose_many(states, k)
+
+
 def random_tree(rng: np.random.Generator, max_nodes=50, max_depth=4,
                 vocab_size=256, top_k=8) -> DraftTree:
     """Structurally valid random tree, independent of build_tree."""

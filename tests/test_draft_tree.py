@@ -1,12 +1,14 @@
 """Draft tree construction, budget pruning, validation, and path enumeration."""
 
 import dataclasses
+import math
 import random
 from collections.abc import Sequence
 
 import numpy as np
 import pytest
 
+from specdec import models
 from specdec.draft_tree import (
     ROOT,
     DraftNode,
@@ -18,7 +20,7 @@ from specdec.draft_tree import (
 )
 from specdec.models import HashVerifier, PrefixState, make_noisy_draft
 
-from helpers import random_tree, token_path
+from helpers import WithBound, random_tree, token_path
 
 VOCAB = 256  # HashVerifier's default vocabulary
 
@@ -377,6 +379,94 @@ class TestFrontierStates:
         # The root level reads ``state`` itself; every later read builds one state.
         assert len(built) == sum(recorder.read[1:])
         assert sum(recorder.read) < sum(map(len, recorder.levels))
+
+
+class TestLogScoreBound:
+    """A draft's declared ``max_log_score`` only stops reading earlier."""
+
+    @staticmethod
+    def built(tree):
+        return [(token_path(tree, i), n.cum_score) for i, n in enumerate(tree.nodes)]
+
+    def test_bounded_build_equals_hidden_bound_and_oracle(self):
+        rng = np.random.default_rng(29)
+        oracle_checked = 0
+        for trial in range(120):
+            params = TreeParams(
+                top_k=int(rng.integers(1, 9)),
+                max_depth=int(rng.integers(1, 7)),
+                max_nodes=int(rng.integers(1, 61)),
+            )
+            verifier, noisy = models_for(
+                int(rng.integers(0, 10_000)),
+                agreement_p=float(rng.uniform(0, 1)),
+                noise_sigma=float(rng.uniform(0.5, 8.0)),
+            )
+            # Tied scores that reach the declared bound exactly, so a best
+            # child can tie the list's last entry.
+            tied = WithBound(TiedDraft(trial, (-0.5, -1.0, -1.5)), -0.5)
+            state = PrefixState(prompt_id=f"bound{trial}")
+            for draft in (noisy, tied):
+                tree = build_tree(state, draft, params, VOCAB)
+                assert self.built(tree) == self.built(
+                    build_tree(state, WithBound(draft), params, VOCAB)
+                )
+                # The oracle drafts every candidate: skip the widest, deepest
+                # trees.  A tied draft proposes at most 6 tokens.
+                width = min(params.top_k, 6) if draft is tied else params.top_k
+                if sum(width**d for d in range(1, params.max_depth + 1)) <= 5_000:
+                    kept = exhaustive_rerank_oracle(state, draft, params)
+                    assert self.built(tree) == list(kept.items())
+                    oracle_checked += 1
+        assert oracle_checked >= 150
+
+    def test_bounded_build_reads_fewer_states(self):
+        def reads(draft, params, state):
+            recorder = LevelRecorder(draft)
+            if hasattr(draft, "max_log_score"):
+                recorder.max_log_score = draft.max_log_score
+            build_tree(state, recorder, params, VOCAB)
+            return sum(recorder.read)
+
+        rng = np.random.default_rng(31)
+        for trial in range(100):
+            params = TreeParams(
+                top_k=int(rng.integers(1, 9)),
+                max_depth=int(rng.integers(1, 7)),
+                max_nodes=int(rng.integers(1, 61)),
+            )
+            verifier, draft = models_for(int(rng.integers(0, 10_000)))
+            state = PrefixState(prompt_id=f"reads{trial}")
+            assert reads(draft, params, state) <= reads(WithBound(draft), params, state)
+        verifier, draft = models_for(3)
+        state = PrefixState(prompt_id="lazy")
+        assert reads(draft, TreeParams(), state) < reads(WithBound(draft), TreeParams(), state)
+
+    @pytest.mark.parametrize("vocab_size", [2, 3, 17, 256])
+    def test_noisy_draft_bound_is_attained_and_never_exceeded(self, vocab_size):
+        draft = make_noisy_draft(HashVerifier(vocab_size=vocab_size), 0.5, 6.0)
+        bound = draft.max_log_score
+        assert -math.inf < bound <= 0.0
+        for k in (1, 8):
+            scores = [
+                logp
+                for center in range(vocab_size)
+                for _, logp in models._ranked(vocab_size, center, min(k, vocab_size))
+            ]
+            assert max(scores) == bound
+
+    def test_proposal_above_the_declared_bound_rejected(self):
+        proposals = [(10, -0.5), (11, -0.7), (12, -0.9)]
+        params = TreeParams(top_k=3, max_depth=3, max_nodes=5)
+        build_tree(PrefixState(), WithBound(FixedDraft(proposals), -0.5), params, VOCAB)
+        with pytest.raises(TreeStructureError, match="log-score"):
+            build_tree(PrefixState(), WithBound(FixedDraft(proposals), -0.6), params, VOCAB)
+
+    @pytest.mark.parametrize("bound", [0.5, float("nan"), -math.inf, "x"])
+    def test_bad_bound_rejected(self, bound):
+        draft = WithBound(FixedDraft([(10, -0.5)]), bound)
+        with pytest.raises(TreeStructureError, match="max_log_score"):
+            build_tree(PrefixState(), draft, TreeParams(), VOCAB)
 
 
 class FixedDraft:

@@ -169,6 +169,13 @@ class TestAnalyticSpeedup:
                 CostModel(*latencies)
         CostModel(verify_latency=0.01, draft_latency=0.0)  # free drafts allowed
 
+    @pytest.mark.parametrize("latency", [float("inf"), float("nan"), -1.0])
+    def test_cost_model_latencies_must_be_finite(self, latency):
+        with pytest.raises(ValueError):
+            CostModel(verify_latency=latency, draft_latency=0.001)
+        with pytest.raises(ValueError):
+            CostModel(verify_latency=0.01, draft_latency=latency)
+
 
 class TestMeasureSpeedup:
     def test_config_without_latencies_rejected(self):

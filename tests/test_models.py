@@ -22,12 +22,13 @@ from specdec.models import (
     HashVerifier,
     PrefixState,
     TimedDraft,
+    TimedVerifier,
     displacement_pmf,
     make_noisy_draft,
 )
 from specdec.verify import AcceptancePolicy, ar_decode, decode_episode
 
-from helpers import chain_q, random_tree, token_path
+from helpers import WithBound, chain_q, random_tree, token_path
 
 
 def state_of(*tokens, prompt="p", obs="o") -> PrefixState:
@@ -561,6 +562,21 @@ class TestNoisyDraft:
                 wrapped.propose_many([state_of()], 0)
             with pytest.raises(ValueError, match="k must be"):
                 wrapped.propose_many([], 0)
+
+    def test_timed_draft_declares_the_inner_bound(self):
+        draft = make_noisy_draft(HashVerifier(seed=1), agreement_p=0.5, noise_sigma=6.0)
+        assert TimedDraft(draft, 0.0).max_log_score == draft.max_log_score < 0.0
+        assert TimedDraft(WithBound(draft), 0.0).max_log_score == 0.0
+
+    @pytest.mark.parametrize("latency", [float("inf"), float("nan"), -1.0])
+    def test_latency_wrappers_reject_non_finite_or_negative_latency(self, latency):
+        # An infinite latency would spin forever once a round is called.
+        verifier = HashVerifier(seed=1)
+        draft = make_noisy_draft(verifier, agreement_p=0.5, noise_sigma=6.0)
+        with pytest.raises(ValueError, match="latency"):
+            TimedVerifier(verifier, latency)
+        with pytest.raises(ValueError, match="latency"):
+            TimedDraft(draft, latency)
 
     def test_full_agreement_tracks_argmax_everywhere(self):
         v = HashVerifier(seed=23)

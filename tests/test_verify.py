@@ -31,6 +31,7 @@ from specdec.verify import (
 from helpers import (
     ScriptedDraft,
     ScriptedVerifier,
+    WithBound,
     chain_expected_accepted,
     chain_q,
     random_tree,
@@ -539,16 +540,23 @@ class TestDecodeEpisode:
             )
 
     def test_verifier_evaluations_at_the_default_tree(self):
-        # The draft scores its states through the same counting verifier.
-        verifier = RecordingVerifier(HashVerifier(seed=0))
-        draft = make_noisy_draft(verifier, agreement_p=0.5, noise_sigma=6.0)
-        _, outcomes = decode_episode(
-            PrefixState(prompt_id="evals"), verifier, draft, TreeParams(),
-            AcceptancePolicy.strict(), 70,
-        )
-        evals = verifier.nexts + sum(1 + len(tree.nodes) for tree in verifier.trees)
-        # Pinned; drafting the frontier nodes the budget cuts would take 4,414.
-        assert (len(outcomes), evals) == (34, 3406)
+        def evals(hide_bound):
+            # The draft scores its states through the same counting verifier.
+            verifier = RecordingVerifier(HashVerifier(seed=0))
+            draft = make_noisy_draft(verifier, agreement_p=0.5, noise_sigma=6.0)
+            _, outcomes = decode_episode(
+                PrefixState(prompt_id="evals"), verifier,
+                WithBound(draft) if hide_bound else draft, TreeParams(),
+                AcceptancePolicy.strict(), 70,
+            )
+            return len(outcomes), verifier.nexts + sum(1 + len(t.nodes) for t in verifier.trees)
+
+        # Pinned.  Drafting the frontier nodes the budget cuts would take
+        # 4,414; stopping at the first node pushed out of the ranking takes
+        # 3,406, and also stopping at the first whose best child, under the
+        # draft's declared log-score bound, cannot enter it takes 2,565.
+        assert evals(hide_bound=True) == (34, 3406)
+        assert evals(hide_bound=False) == (34, 2565)
 
     def test_empty_draft_degrades_to_ar_steps(self):
         verifier = HashVerifier(seed=46)

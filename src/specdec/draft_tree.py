@@ -33,10 +33,9 @@ import bisect
 import math
 import numbers
 import operator
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .models import DraftModel, PrefixState
+from .models import DraftModel, PrefixState, _Lazy
 
 
 class TreeStructureError(ValueError):
@@ -128,30 +127,6 @@ class DraftTree:
             seen.add((parent, token))
 
 
-class _FrontierStates(Sequence[PrefixState]):
-    """One level's frontier states, each built from its path when it is read.
-
-    ``len`` counts every frontier node, but a state the draft never reads
-    is never built.
-    """
-
-    __slots__ = ("_state", "_paths")
-
-    def __init__(self, state: PrefixState, paths: list[tuple[int, ...]]):
-        self._state, self._paths = state, paths
-
-    def __len__(self) -> int:
-        return len(self._paths)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self._state.extend_many, self._paths[index]))
-        return self._state.extend_many(self._paths[index])
-
-    def __iter__(self) -> Iterator[PrefixState]:
-        return map(self._state.extend_many, self._paths)
-
-
 def build_tree(
     state: PrefixState, draft: DraftModel, params: TreeParams, vocab_size: int
 ) -> DraftTree:
@@ -179,7 +154,7 @@ def build_tree(
     for depth in range(1, params.max_depth + 1):
         if not frontier:
             break
-        states = _FrontierStates(state, [key[2] for key in frontier]) if depth > 1 else [state]
+        states = _Lazy(state.extend_many, [key[2] for key in frontier]) if depth > 1 else [state]
         proposals = iter(draft.propose_many(states, params.top_k))
 
         for key in frontier:

@@ -22,7 +22,7 @@ from typing import Sequence
 from .action_space import CHUNK_SIZE, bin_distance
 from .config import ConfigValueError, RunConfig
 from .draft_tree import TreeParams
-from .models import HashVerifier, PrefixState, TimedDraft, TimedVerifier, make_noisy_draft
+from .models import HashVerifier, NoisyDraft, PrefixState, TimedDraft, TimedVerifier
 from .verify import AcceptancePolicy, VerifyOutcome, ar_decode, decode_episode
 
 
@@ -117,7 +117,7 @@ def _episode_state(index: int) -> PrefixState:
 def build_models(config: RunConfig):
     """Construct the seeded synthetic verifier/draft pair for a config."""
     verifier = HashVerifier(vocab_size=config.vocab_size, seed=config.seed)
-    draft = make_noisy_draft(
+    draft = NoisyDraft(
         verifier,
         agreement_p=config.agreement_p,
         noise_sigma=config.noise_sigma,

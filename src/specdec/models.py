@@ -113,25 +113,39 @@ class PrefixState:
 
 
 class Distribution:
-    """One cached verifier draw: the argmax of its scores, all the engine reads of them."""
+    """One verifier argmax, as ``TreeDistributions.root`` and ``.nodes`` hand it out."""
 
     __slots__ = ("argmax",)
 
     def __init__(self, argmax: int):
         self.argmax = argmax
 
-    @classmethod
-    def from_scores(cls, raw: np.ndarray) -> Distribution:
-        total = raw.sum()
-        if not total > 0.0:
-            raise ValueError("scores must have positive mass")
-        # The argmax of the normalized scores, not of ``raw``: two raw
-        # maxima can round to one value when divided.  argmax returns the
-        # first maximizer, so the lowest bin ID wins ties.
-        return cls(int((raw / total).argmax()))
+
+class _Lazy(Sequence):
+    """``fn`` over ``items``: item ``i`` is ``fn(items[i])``, computed when it is read.
+
+    ``len`` counts every item, but an item never read is never computed.  A
+    slice returns a list.
+    """
+
+    __slots__ = ("_fn", "_items")
+
+    def __init__(self, fn: Callable, items: list):
+        self._fn, self._items = fn, items
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(self._fn, self._items[index]))
+        return self._fn(self._items[index])
+
+    def __iter__(self) -> Iterator:
+        return map(self._fn, self._items)
 
 
-class TreeDistributions(Sequence[int]):
+class TreeDistributions(_Lazy):
     """One verification round over a draft tree, as the ints ``verify_tree`` reads.
 
     Item 0 is the argmax after the committed prefix and item ``i + 1`` the
@@ -140,28 +154,17 @@ class TreeDistributions(Sequence[int]):
     per item and draws an item only when it is read.
     """
 
-    __slots__ = ("_at", "_keys")
-
-    def __init__(self, at: Callable[[int], Distribution], keys: list[int]):
-        self._at, self._keys = at, keys
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._at(key).argmax for key in self._keys[index]]
-        return self._at(self._keys[index]).argmax
+    __slots__ = ()
 
     @property
     def root(self) -> Distribution:
         """Item 0's draw; exists only for ``bench/spans.py``, like ``nodes``."""
-        return self._at(self._keys[0])
+        return Distribution(self[0])
 
     @property
     def nodes(self) -> list[Distribution]:
         """Every node's draw, all drawn now; exists only for ``bench/spans.py``."""
-        return list(map(self._at, self._keys[1:]))
+        return list(map(Distribution, self[1:]))
 
 
 class Verifier(Protocol):
@@ -203,17 +206,28 @@ class DraftModel(Protocol):
     ) -> Iterable[list[tuple[int, float]]]: ...
 
 
-# Distributions a ``HashVerifier`` keeps, least recently used first out.  A
-# default tree step looks up about 58 and draws about 50, so it evicts none
-# of its own; a wider step only redraws, since a draw is a pure function of
-# its key.
+# Argmaxes a ``HashVerifier`` keeps, by prefix key, least recently used first
+# out.  A default tree step looks up about 33 and draws about 25, so it evicts
+# none of its own; a wider step only redraws, since a draw is a pure function
+# of its key.
 MEMO_LIMIT = 256
 
 
-def _draw(vocab_size: int, key: int) -> Distribution:
-    """The verifier's distribution for one prefix key: a pure function of both."""
-    rng = np.random.Generator(np.random.PCG64(key))
-    return Distribution.from_scores(rng.random(vocab_size))
+def _argmax(raw: np.ndarray) -> int:
+    """The argmax of ``raw`` once normalized; ``ValueError`` unless it has positive mass."""
+    total = raw.sum()
+    if not total > 0.0:
+        raise ValueError("scores must have positive mass")
+    # The argmax of the normalized scores, not of ``raw``: two raw maxima can
+    # round to one value when divided.  argmax returns the first maximizer,
+    # so the lowest bin ID wins ties.
+    return int((raw / total).argmax())
+
+
+def _draw(vocab_size: int, salt: int, key: int) -> int:
+    """The verifier's argmax after the prefix whose key is ``key``: a pure function of all three."""
+    rng = np.random.Generator(np.random.PCG64(_mix(key ^ salt)))
+    return _argmax(rng.random(vocab_size))
 
 
 class HashVerifier:
@@ -223,23 +237,20 @@ class HashVerifier:
     independent-looking score vector, so the model is prefix-sensitive and
     reproducible with no training.  The argmax of iid uniform scores is
     uniform over bins, which keeps downstream acceptance statistics easy to
-    reason about.
+    reason about.  ``vocab_size`` and ``seed`` must be integers
+    (``operator.index``); anything else is a ``TypeError``.
     """
 
     def __init__(self, vocab_size: int = 256, seed: int = 0):
-        if not 2 <= vocab_size <= MAX_VOCAB_SIZE:
+        self.vocab_size = operator.index(vocab_size)
+        self.seed = operator.index(seed)
+        if not 2 <= self.vocab_size <= MAX_VOCAB_SIZE:
             raise ValueError(f"vocab_size must be in [2, {MAX_VOCAB_SIZE}]")
-        self.vocab_size = int(vocab_size)
-        self.seed = int(seed)
-        self._salt = _salt(b"verifier", self.seed)
-        self._draw = lru_cache(maxsize=MEMO_LIMIT)(partial(_draw, self.vocab_size))
+        salt = _salt(b"verifier", self.seed)
+        self._memo = lru_cache(maxsize=MEMO_LIMIT)(partial(_draw, self.vocab_size, salt))
 
     def next(self, state: PrefixState) -> int:
-        return self._at(state.key).argmax
-
-    def _at(self, key: int) -> Distribution:
-        """The distribution after the prefix whose key is ``key``."""
-        return self._draw(_mix(key ^ self._salt))
+        return self._memo(state.key)
 
     def batch(self, state: PrefixState, tree: DraftTree) -> TreeDistributions:
         # Nodes are stored parents-first, so each node's key extends an
@@ -254,7 +265,7 @@ class HashVerifier:
                     f"node {i} token {token} is outside vocabulary [0, {self.vocab_size})"
                 )
             keys.append(_mix(keys[node.parent + 1] ^ token))
-        return TreeDistributions(self._at, keys)
+        return TreeDistributions(self._memo, keys)
 
 
 def displacement_pmf(noise_sigma: float, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -307,7 +318,8 @@ class NoisyDraft:
     ``max_log_score`` is the best log-score any proposal can have.  The top
     proposal is always the center bin, and its share of the kernel is
     largest where the vocabulary edge cuts the kernel, so the bound is the
-    top log-score at center 0 or V - 1, whatever ``k``.
+    top log-score at center 0 or V - 1, whatever ``k``.  ``seed`` must be
+    an integer (``operator.index``); anything else is a ``TypeError``.
     """
 
     def __init__(
@@ -323,7 +335,7 @@ class NoisyDraft:
         self.vocab_size = verifier.vocab_size
         self.agreement_p = float(agreement_p)
         self.noise_sigma = float(noise_sigma)
-        self.seed = int(seed)
+        self.seed = operator.index(seed)
         offsets, probs = displacement_pmf(self.noise_sigma, self.vocab_size)
         # Plain lists: ``_center`` reads one entry per query, and numpy's
         # scalar dispatch would cost more than the lookup.
@@ -357,14 +369,8 @@ class NoisyDraft:
         return (list(self._ranked(self._center(state), k)) for state in states)
 
 
-def make_noisy_draft(
-    verifier: HashVerifier,
-    agreement_p: float,
-    noise_sigma: float,
-    seed: int = 1,
-) -> NoisyDraft:
-    """Build the synthetic draft model used by the harness."""
-    return NoisyDraft(verifier, agreement_p=agreement_p, noise_sigma=noise_sigma, seed=seed)
+# The draft constructor's older name, which ``bench/run.py`` still calls.
+make_noisy_draft = NoisyDraft
 
 
 def _latency(seconds: float) -> float:

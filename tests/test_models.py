@@ -18,8 +18,8 @@ from specdec import models
 from specdec.draft_tree import TreeParams, build_tree, enumerate_paths
 from specdec.models import (
     MEMO_LIMIT,
-    Distribution,
     HashVerifier,
+    NoisyDraft,
     PrefixState,
     TimedDraft,
     TimedVerifier,
@@ -64,15 +64,15 @@ def stream_key(state, tag, seed):
     return splitmix64(reference_key(state.prompt_id, state.observation_id, state.emitted) ^ salt)
 
 
-def record_draws(monkeypatch) -> list[tuple[int, Distribution]]:
-    """Every ``(key, distribution)`` score draw a ``HashVerifier`` built later makes."""
+def record_draws(monkeypatch) -> list[tuple[int, int]]:
+    """Every ``(stream key, argmax)`` score draw a ``HashVerifier`` built later makes."""
     draws = []
     draw = models._draw
 
-    def recording(vocab_size, key):
-        dist = draw(vocab_size, key)
-        draws.append((key, dist))
-        return dist
+    def recording(vocab_size, salt, key):
+        argmax = draw(vocab_size, salt, key)
+        draws.append((splitmix64(key ^ salt), argmax))
+        return argmax
 
     # Verifiers built after this call cache the recording function.
     monkeypatch.setattr(models, "_draw", recording)
@@ -221,6 +221,22 @@ class TestHashVerifier:
         with pytest.raises(ValueError):
             HashVerifier(vocab_size=1 << 17)
 
+    def test_vocab_size_and_seed_must_be_integers(self):
+        # Truncating 256.7 or 2.9 would build another model without a word.
+        for kwargs in ({"vocab_size": 256.7}, {"seed": 2.9}, {"seed": "2"}):
+            with pytest.raises(TypeError):
+                HashVerifier(**kwargs)
+        verifier = HashVerifier(vocab_size=np.int64(256), seed=np.uint8(2))
+        assert (verifier.vocab_size, verifier.seed) == (256, 2)
+        assert type(verifier.vocab_size) is int and type(verifier.seed) is int
+        assert verifier.next(state_of(1)) == HashVerifier(seed=2).next(state_of(1))
+        with pytest.raises(TypeError):
+            NoisyDraft(verifier, seed=1.5)
+        draft = NoisyDraft(verifier, 0.5, 6.0, seed=np.int32(1))
+        assert draft.seed == 1 and type(draft.seed) is int
+        expected = NoisyDraft(verifier, 0.5, 6.0, seed=1).propose_many([state_of(4)], 3)
+        assert list(draft.propose_many([state_of(4)], 3)) == list(expected)
+
     def test_seed_outside_signed_64_bits_is_a_value_error(self):
         verifier = HashVerifier()
         for seed in (2**63, -(2**63) - 1):
@@ -238,13 +254,70 @@ class TestDistribution:
         # once divided by the total, and the lower bin wins the tie.
         raw = np.array([0.8622755206430472, 0.8622755206430474, 0.8119451869563249])
         assert raw.argmax() == 1
-        dist = Distribution.from_scores(raw)
-        assert dist.argmax == 0
+        assert models._argmax(raw) == 0
 
     def test_scores_without_positive_mass_rejected(self):
         for raw in (np.zeros(4), np.full(4, np.nan)):
             with pytest.raises(ValueError, match="positive mass"):
-                Distribution.from_scores(raw)
+                models._argmax(raw)
+
+
+def verifier_round(monkeypatch):
+    """A round from a fresh verifier, the argmaxes it holds, and a count of its draws."""
+    draws = record_draws(monkeypatch)
+    v = HashVerifier(seed=5)
+    state = state_of(7)
+    tree = build_tree(state, make_noisy_draft(v, 0.5, 6.0), TreeParams(), v.vocab_size)
+    expected = [v.next(state)]
+    expected += [v.next(state.extend_many(token_path(tree, i))) for i in range(len(tree.nodes))]
+    draws.clear()
+    return HashVerifier(seed=5).batch(state, tree), expected, lambda: len(draws)  # an empty memo
+
+
+def frontier_states(monkeypatch):
+    """The depth-2 states a draft is handed, the states they hold, and a count of the states built."""
+    built = []
+    extend_many = PrefixState.extend_many
+    monkeypatch.setattr(
+        PrefixState, "extend_many", lambda self, tokens: built.append(1) or extend_many(self, tokens)
+    )
+    draft = make_noisy_draft(HashVerifier(seed=5), 0.5, 6.0)
+    levels = []
+
+    class Keeping:
+        def propose_many(self, states, k):
+            levels.append(states)
+            assert not built  # the root level is the root itself; none built before a read
+            return draft.propose_many(states, k)
+
+    state = state_of(7)
+    build_tree(state, Keeping(), TreeParams(max_depth=2), draft.vocab_size)
+    # Level 1 leaves all 8 of the root's children in the 50-node list, best first.
+    (props,) = draft.propose_many([state], 8)
+    expected = [state.extend(t) for t, _ in sorted(props, key=lambda p: (-p[1], p[0]))]
+    built.clear()
+    return levels[1], expected, lambda: len(built)
+
+
+class TestLazy:
+    """The one lazy sequence behind a verifier round and a level's draft states."""
+
+    @pytest.mark.parametrize("make", [verifier_round, frontier_states], ids=["round", "frontier"])
+    def test_reads_like_a_list(self, make, monkeypatch):
+        items, expected, built = make(monkeypatch)
+        n = len(expected)
+        assert isinstance(items, Sequence) and len(items) == n and n > 5
+        assert built() == 0  # nothing is computed until it is read
+        assert items[-2] == expected[-2] and built() == 1
+        for i in range(-n, n):
+            assert items[i] == expected[i]
+        parts = (slice(None), slice(3, 9), slice(None, None, -2), slice(-5, None), slice(60, 70))
+        for part in parts:
+            assert items[part] == expected[part]  # a slice is a list
+        assert list(items) == expected and list(reversed(items)) == expected[::-1]
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                items[index]
 
 
 class TestVerifierBatch:
@@ -260,8 +333,8 @@ class TestVerifierBatch:
         result = HashVerifier(seed=2).batch(state, tree)  # empty memo: every prefix is drawn
         list(result)  # a position, the root too, is drawn when it is read
         drawn = dict(draws)
-        assert result.nodes[0] is drawn[stream_key(extended, b"verifier", 2)]
-        assert result.root is drawn[stream_key(state, b"verifier", 2)]
+        assert result.nodes[0].argmax == drawn[stream_key(extended, b"verifier", 2)]
+        assert result.root.argmax == drawn[stream_key(state, b"verifier", 2)]
         assert len(draws) == 2
         assert result.nodes[0].argmax == v.next(extended)
         assert result.root.argmax == v.next(state)
@@ -280,38 +353,11 @@ class TestVerifierBatch:
             drawn = dict(draws)
             # Tree paths are distinct, so each prefix is its own draw.
             assert len(drawn) == len(draws) == len(tree.nodes) + 1
-            assert result.root is drawn[stream_key(state, b"verifier", 7)]
+            assert result.root.argmax == drawn[stream_key(state, b"verifier", 7)]
             for i in range(len(tree.nodes)):
                 prefix = state.extend_many(token_path(tree, i))
-                assert result.nodes[i] is drawn[stream_key(prefix, b"verifier", 7)]
+                assert result.nodes[i].argmax == drawn[stream_key(prefix, b"verifier", 7)]
                 assert result.nodes[i].argmax == v.next(prefix)
-
-    def test_round_reads_like_a_list(self):
-        v = HashVerifier(seed=5)
-        state = state_of(7)
-        tree = build_tree(state, make_noisy_draft(v, 0.5, 6.0), TreeParams(), v.vocab_size)
-        result = v.batch(state, tree)
-        n = len(tree.nodes)
-        nodes = [v.next(state.extend_many(token_path(tree, i))) for i in range(n)]
-        verified = [v.next(state)] + nodes
-        assert len(result.nodes) == n and len(result) == n + 1
-        assert result.root.argmax == verified[0]
-        for i in range(-n, n):
-            assert result.nodes[i].argmax == nodes[i]
-        for i in range(-n - 1, n + 1):
-            assert result[i] == verified[i]
-        parts = (slice(None), slice(3, 9), slice(None, None, -2), slice(-5, None), slice(60, 70))
-        for part in parts:
-            assert [d.argmax for d in result.nodes[part]] == nodes[part]
-            assert result[part] == verified[part]
-        assert [d.argmax for d in result.nodes] == nodes
-        assert list(result) == verified and list(reversed(result)) == verified[::-1]
-        for index in (n, -n - 1):
-            with pytest.raises(IndexError):
-                result.nodes[index]
-        for index in (n + 1, -n - 2):
-            with pytest.raises(IndexError):
-                result[index]
 
     def test_fresh_round_draws_nothing_until_read(self, monkeypatch):
         draws = record_draws(monkeypatch)
@@ -505,7 +551,7 @@ class TestVerifierMemo:
         for token in range(3 * MEMO_LIMIT):
             v.next(state)
             state = state.extend(token % 256)
-        assert v._draw.cache_info().currsize <= MEMO_LIMIT
+        assert v._memo.cache_info().currsize <= MEMO_LIMIT
 
 
     def test_steps_wider_than_the_memo_keep_the_guarantees(self):

@@ -161,8 +161,6 @@ def _cmd_decode(config: RunConfig) -> int:
     lines.append(f"tokens: {emitted}")
     for start in range(0, len(emitted), CHUNK_SIZE):
         chunk = emitted[start : start + CHUNK_SIZE]
-        if len(chunk) < CHUNK_SIZE:
-            break
         values = detokenize(chunk, config.dimension_bounds, config.vocab_size)
         rendered = ", ".join(f"{v:+.5f}" for v in values)
         lines.append(f"action {start // CHUNK_SIZE}: [{rendered}]")

@@ -5,6 +5,12 @@ one-to-one (``top_k``, ``tree_depth``, ``max_nodes``, ...).  Unknown keys
 are rejected so typos fail loudly.  Flags override file values; the
 ``SPECDEC_SEED`` environment variable is the seed fallback when neither
 source sets one.
+
+Every :class:`RunConfig` converts and checks its own values when built,
+so the same rules hold however it is made: parsed, by hand, or by
+``dataclasses.replace``.  Each value is converted by its field's declared
+type (an integral float to ``int``, a list to ``tuple``); any failure is a
+:class:`ConfigValueError`, which the CLI maps to exit code 5.
 """
 
 from __future__ import annotations
@@ -73,6 +79,9 @@ class RunConfig:
         """Check the config's own rules, and build what checks the rest."""
         from .harness import build_models
 
+        # Convert first, so every rule below reads values of the declared types.
+        for f in fields(self):
+            object.__setattr__(self, f.name, _convert(f.name, f.type, getattr(self, f.name)))
         # The models pack ``seed`` and ``seed + 1`` as signed 64-bit integers.
         if not -(2**63) <= self.seed <= 2**63 - 2:
             raise ConfigValueError(f"seed must be in [-2^63, 2^63 - 2], got {self.seed}")
@@ -135,13 +144,6 @@ class RunConfig:
         return echo
 
 
-# Values are read by their fields' declared types, which are strings under
-# ``from __future__ import annotations``.
-_INT_KEYS = {f.name for f in fields(RunConfig) if f.type == "int"}
-_FLOAT_KEYS = {f.name for f in fields(RunConfig) if f.type in ("float", "float | None")}
-_NULLABLE_KEYS = {f.name for f in fields(RunConfig) if f.type.endswith(" | None")}
-
-
 def _as_int(value) -> int:
     """An integral number that is not a bool, as an int."""
     if isinstance(value, bool) or int(value) != value:
@@ -157,34 +159,30 @@ def _as_float(value) -> float:
     return value
 
 
-def _coerce(key: str, value):
-    if value is None and key in _NULLABLE_KEYS:
+def _convert(key: str, kind: str, value):
+    """Convert ``value`` for field ``key`` by its declared type, the string ``kind``."""
+    if value is None and kind.endswith(" | None"):
         return None
+    kind = kind.removesuffix(" | None")
     try:
-        if key in _INT_KEYS:
+        if kind == "int":
             return _as_int(value)
-        if key in _FLOAT_KEYS:
+        if kind == "float":
             return _as_float(value)
-        if key in ("r_values", "per_dimension_r"):
-            # A JSON list; flag overrides pass a tuple.
+        if kind == "tuple[int, ...]":
+            # A JSON list; flag overrides and code pass a tuple.
             if not isinstance(value, (list, tuple)):
                 raise ValueError
             return tuple(_as_int(t) for t in value)
-        if key == "dimension_bounds":
+        if kind == "DimensionBounds":
+            if isinstance(value, DimensionBounds):
+                return value
             return DimensionBounds.from_pairs([[_as_float(x) for x in pair] for pair in value])
-        if key == "measure_speedup":
-            if not isinstance(value, bool):
-                raise ValueError
-            return value
-        if key in ("format", "out"):
-            if not isinstance(value, str):
-                raise ValueError
-            return value
-    except ConfigError:
-        raise
+        if not isinstance(value, {"bool": bool, "str": str}[kind]):
+            raise ValueError
+        return value
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigValueError(f"config key {key!r} has invalid value {value!r}") from exc
-    raise ConfigValueError(f"unknown config key {key!r}")
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -228,13 +226,11 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
             raise ConfigValueError(f"SPECDEC_SEED must be an integer, got {env_seed!r}") from exc
 
     if path is not None:
-        raw = load_config_file(path)
-        for key, value in raw.items():
-            values[key] = _coerce(key, value)
+        values.update(load_config_file(path))
+    values.update((k, v) for k, v in (overrides or {}).items() if v is not None)
 
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        values[key] = _coerce(key, value)
-
+    names = {f.name for f in fields(RunConfig)}
+    for key in values:
+        if key not in names:
+            raise ConfigValueError(f"unknown config key {key!r}")
     return RunConfig(**values)

@@ -176,7 +176,7 @@ def verify_tree(
 
 def ar_decode(state: PrefixState, verifier: Verifier, length: int) -> tuple[int, ...]:
     """Plain greedy decoding: one verifier query per emitted token."""
-    if length < 1:
+    if (length := operator.index(length)) < 1:
         raise ValueError("length must be >= 1")
     tokens: list[int] = []
     st = state
@@ -204,7 +204,8 @@ def decode_episode(
     Raises :class:`TreeStructureError` when the draft proposes a token
     outside the verifier's vocabulary.
     """
-    if length < 1:
+    # ``operator.index``: a fractional length raises before any decoding.
+    if (length := operator.index(length)) < 1:
         raise ValueError("length must be >= 1")
     tokens: list[int] = []
     outcomes: list[VerifyOutcome] = []

@@ -1,5 +1,6 @@
 """Config parsing, CLI subcommands, exit codes, and output stability."""
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -26,6 +27,18 @@ def write_config(tmp_path, payload) -> str:
     # A string is written as it is, for JSON that a dict cannot express.
     path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
+
+
+def from_file(tmp_path, payload) -> RunConfig:
+    return parse_config(write_config(tmp_path, payload), {})
+
+
+def by_replace(tmp_path, payload) -> RunConfig:
+    return dataclasses.replace(RunConfig(), **payload)
+
+
+# Every way a config is built converts and checks its values alike.
+BUILDS = pytest.mark.parametrize("build", [from_file, by_replace], ids=["file", "replace"])
 
 
 class TestParseConfig:
@@ -98,11 +111,15 @@ class TestParseConfig:
         assert list(block) == list(expected)
         assert block == json.loads(json.dumps(expected))
 
-    def test_wrong_types_rejected(self, tmp_path):
+    @BUILDS
+    def test_wrong_types_rejected(self, tmp_path, build):
         nan, inf = float("nan"), float("inf")
         for payload in (
             {"episodes": "many"},
+            {"episodes": 2.5},
+            {"seed": 1.5},
             {"agreement_p": "high"},
+            {"agreement_p": "0.5"},
             # Float keys follow the integer rule: no bools, no strings.
             {"agreement_p": True},
             {"noise_sigma": "6"},
@@ -137,11 +154,22 @@ class TestParseConfig:
                 "target_length": 28,
             },
         ):
-            path = write_config(tmp_path, payload)
-            with pytest.raises(ConfigValueError):
-                parse_config(path, {})
+            with pytest.raises(ConfigValueError, match="|".join(payload)):  # names a key
+                build(tmp_path, payload)
+
+    def test_repeated_flag_threshold_rejected(self):
         with pytest.raises(ConfigValueError, match="repeat"):
             parse_config(None, {"r_values": (3, 3)})  # as ``--r 3 --r 3`` passes it
+
+    @BUILDS
+    def test_integral_values_stored_as_declared_types(self, tmp_path, build):
+        config = build(
+            tmp_path, {"target_length": 14.0, "report_positions": 6.0, "r_values": [0, 9]}
+        )
+        assert type(config.target_length) is int and config.target_length == 14
+        assert type(config.report_positions) is int and config.report_positions == 6
+        assert config.r_values == (0, 9) and type(config.r_values) is tuple
+        hash(config)  # a frozen config holds no list
 
     @pytest.mark.parametrize(
         "key, payload",
@@ -163,10 +191,11 @@ class TestParseConfig:
         ],
     )
     def test_out_of_range_values_rejected_naming_the_key(self, tmp_path, key, payload):
-        """Ranges the models, tree, cost model and policies own, read from a config."""
-        path = write_config(tmp_path, payload)
-        with pytest.raises(ConfigValueError, match=key):
-            parse_config(path, {})
+        """Ranges the models, tree, cost model and policies own, however a config is built."""
+        # A repeated key exists only in a file; every other payload is also built directly.
+        for build in (from_file, by_replace) if isinstance(payload, dict) else (from_file,):
+            with pytest.raises(ConfigValueError, match=key):
+                build(tmp_path, payload)
 
 
 class TestRunAblation:

@@ -429,8 +429,14 @@ class TestArDecode:
         assert np.isfinite(values).all()
 
     def test_rejects_zero_length(self):
-        with pytest.raises(ValueError):
-            ar_decode(PrefixState(), HashVerifier(seed=1), 0)
+        """A zero or fractional length fails before any model is called."""
+        strict = AcceptancePolicy.strict()
+        for length, error in ((0, ValueError), (70.5, TypeError)):
+            # ``None`` models: reaching either one would raise AttributeError.
+            with pytest.raises(error):
+                ar_decode(PrefixState(), None, length)
+            with pytest.raises(error):
+                decode_episode(PrefixState(), None, None, TreeParams(), strict, length)
 
 
 class TestDecodeEpisode:

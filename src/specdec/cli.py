@@ -7,10 +7,11 @@ Subcommands:
 * ``ablate`` — sweep the relaxation thresholds and emit the tokens-per-pass
   and success-rate curve.
 
-Exit codes: 0 on success, 1 when a report identity fails, 2 for argparse
-usage errors, 3 for a missing config file, 4 for malformed or non-UTF-8
-JSON, 5 for out-of-range, unknown or repeated config values, 6 when
-``--out`` cannot be written, which is checked before any episode runs.
+Exit codes: 0 on success, 1 when a ``bench`` or ``ablate`` report fails
+an identity check, 2 for argparse usage errors, 3 for a missing config
+file, 4 for malformed or non-UTF-8 JSON, 5 for out-of-range, unknown or
+repeated config values, 6 when ``--out`` cannot be written, which is
+checked before any episode runs.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .harness import (
     run_episode,
 )
 from .report import (
-    Report,
     aggregate,
     render_ablation_csv,
     render_ablation_json,
@@ -117,15 +117,6 @@ def _emit(text: str, out: str | None) -> int:
     return _write(out, "w", text)
 
 
-def run_ablation(config: RunConfig) -> Report:
-    """Run the batch for every threshold; report rows follow ``r_values``."""
-    if len(config.r_values) < 2:
-        raise ConfigValueError("ablation needs at least 2 r values to sweep")
-    rep = aggregate(run_batch(config), config)
-    validate_report(rep)
-    return rep
-
-
 def _cmd_decode(config: RunConfig) -> int:
     verifier, draft = build_models(config)
     policy = policy_for_r(config.r_values[0], config.per_dimension_r)
@@ -171,23 +162,23 @@ def _cmd_decode(config: RunConfig) -> int:
     return _emit("\n".join(lines) + "\n", config.out)
 
 
-def _cmd_bench(config: RunConfig) -> int:
+def _cmd_report(command: str, config: RunConfig) -> int:
+    """Run the batch for every threshold and emit the ``bench`` or ``ablate`` report.
+
+    Report rows follow ``r_values``.  Only the ``bench`` renderers show
+    measured speedup, so ``ablate`` times nothing.
+    """
+    if command == "ablate" and len(config.r_values) < 2:
+        raise ConfigValueError("ablation needs at least 2 r values to sweep")
     stats = run_batch(config)
-    measurements = {}
-    if config.measure_speedup:
-        for r in config.r_values:
-            measurements[r] = measure_speedup(config, r)
-    rep = aggregate(stats, config, measurements)
+    measured = command == "bench" and config.measure_speedup
+    rep = aggregate(stats, config, measure_speedup(config) if measured else None)
     try:
         validate_report(rep)
     except ValueError as exc:
         sys.stderr.write(f"report identity check failed: {exc}\n")
         return 1
-    return _emit(_RENDERERS["bench"][config.format](rep), config.out)
-
-
-def _cmd_ablate(config: RunConfig) -> int:
-    return _emit(_RENDERERS["ablate"][config.format](run_ablation(config)), config.out)
+    return _emit(_RENDERERS[command][config.format](rep), config.out)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -201,9 +192,7 @@ def main(argv: list[str] | None = None) -> int:
             return code
         if args.command == "decode":
             return _cmd_decode(config)
-        if args.command == "bench":
-            return _cmd_bench(config)
-        return _cmd_ablate(config)
+        return _cmd_report(args.command, config)
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.exit_code

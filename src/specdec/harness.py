@@ -174,18 +174,19 @@ class SpeedupMeasurement:
     tokens: int
 
 
-def measure_speedup(config: RunConfig, r: int) -> SpeedupMeasurement:
+def measure_speedup(config: RunConfig) -> dict[int, SpeedupMeasurement]:
     """Time AR and speculative decoding on identical seeded workloads.
 
-    The config's latencies are injected around every model round, so the
-    ratio compares model cost plus the engine's own overhead.  Raises
-    ``ConfigValueError`` when the config sets no latencies: the ratio would
-    then time bookkeeping alone.
+    Returns one measurement per threshold, in ``r_values`` order.  Greedy
+    decoding does not depend on ``r``, so it is timed once and every
+    measurement shares its ``ar_seconds``.  The config's latencies are
+    injected around every model round, so each ratio compares model cost
+    plus the engine's own overhead.  Raises ``ConfigValueError`` when the
+    config sets no latencies: the ratio would then time bookkeeping alone.
     """
     cost = config.cost_model()
     if cost is None:
         raise ConfigValueError("measure_speedup needs verify_latency and draft_latency")
-    policy = policy_for_r(r, config.per_dimension_r)
     params = config.tree_params()
     verifier, draft = build_models(config)
     timed_verifier = TimedVerifier(verifier, cost.verify_latency)
@@ -197,24 +198,27 @@ def measure_speedup(config: RunConfig, r: int) -> SpeedupMeasurement:
         ar_decode(state, timed_verifier, config.target_length)
     ar_seconds = time.perf_counter() - start
 
-    steps = 0
-    start = time.perf_counter()
-    for state in states:
-        _, outcomes = decode_episode(
-            state, timed_verifier, timed_draft, params, policy, config.target_length
-        )
-        steps += len(outcomes)
-    sd_seconds = time.perf_counter() - start
-
     # Committed tokens per verifier round; both runs commit exactly
     # episodes * target_length tokens, so the ratio is apples to apples.
     tokens = config.episodes * config.target_length
-    tpp = tokens / steps
-    return SpeedupMeasurement(
-        measured=ar_seconds / sd_seconds,
-        analytic=analytic_speedup(cost, params.max_depth, tpp),
-        ar_seconds=ar_seconds,
-        sd_seconds=sd_seconds,
-        tokens_per_pass=tpp,
-        tokens=tokens,
-    )
+    measurements = {}
+    for r in config.r_values:
+        policy = policy_for_r(r, config.per_dimension_r)
+        steps = 0
+        start = time.perf_counter()
+        for state in states:
+            _, outcomes = decode_episode(
+                state, timed_verifier, timed_draft, params, policy, config.target_length
+            )
+            steps += len(outcomes)
+        sd_seconds = time.perf_counter() - start
+        tpp = tokens / steps
+        measurements[r] = SpeedupMeasurement(
+            measured=ar_seconds / sd_seconds,
+            analytic=analytic_speedup(cost, params.max_depth, tpp),
+            ar_seconds=ar_seconds,
+            sd_seconds=sd_seconds,
+            tokens_per_pass=tpp,
+            tokens=tokens,
+        )
+    return measurements

@@ -268,7 +268,7 @@ def test_speedup_analogue():
             draft_latency=0.001,
             seed=5,
         )
-        measurement = measure_speedup(config, r=0)
+        measurement = measure_speedup(config)[0]
         assert measurement.analytic is not None
         assert measurement.measured == pytest.approx(measurement.analytic, rel=0.10), (
             f"measured {measurement.measured:.3f} vs analytic {measurement.analytic:.3f}"

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from specdec.cli import main, run_ablation
+from specdec.cli import main
 from specdec.config import (
     ConfigFileError,
     ConfigParseError,
@@ -15,6 +15,7 @@ from specdec.config import (
     RunConfig,
     parse_config,
 )
+from specdec.verify import ar_decode
 
 
 @pytest.fixture(autouse=True)
@@ -199,39 +200,25 @@ class TestParseConfig:
 
 
 class TestRunAblation:
-    def test_two_thresholds_give_two_monotone_rows(self):
-        config = parse_config(
-            None,
-            {"r_values": (0, 9), "episodes": 12, "target_length": 28, "top_k": 1},
-        )
-        report = run_ablation(config)
-        assert len(report.policies) == 2
-        row0, row9 = report.policies
-        assert (row0.r, row9.r) == (0, 9)
-        assert row9.tokens_per_pass >= row0.tokens_per_pass
-        assert row0.success_rate == 1.0
+    def test_two_thresholds_give_two_monotone_rows(self, capsys):
+        argv = ["ablate", "--r", "0", "--r", "9", "--episodes", "12", "--length", "28"]
+        assert main(argv + ["--top-k", "1", "--format", "json"]) == 0
+        row0, row9 = json.loads(capsys.readouterr().out)["sweep"]
+        assert (row0["r"], row9["r"]) == (0, 9)
+        assert row9["tokens_per_pass"] >= row0["tokens_per_pass"]
+        assert row0["success_rate"] == 1.0
 
-    def test_single_threshold_rejected(self):
-        config = parse_config(None, {"r_values": (9,), "episodes": 1, "target_length": 14})
-        with pytest.raises(ConfigValueError):
-            run_ablation(config)
-
-    def test_rerun_is_byte_identical(self):
-        config = parse_config(
-            None, {"r_values": (0, 5), "episodes": 4, "target_length": 14, "seed": 3}
-        )
-        from specdec.report import render_ablation_json
-
-        assert render_ablation_json(run_ablation(config)) == render_ablation_json(
-            run_ablation(config)
-        )
+    def test_rerun_is_byte_identical(self, capsys):
+        argv = ["ablate", "--r", "0", "--r", "5", "--episodes", "4", "--length", "14"]
+        argv += ["--seed", "3", "--format", "json"]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 class TestCliCommands:
-    def run(self, *argv, capsys=None):
-        code = main(list(argv))
-        return code
-
     def test_bench_exit_zero(self, capsys):
         assert main(["bench", "--episodes", "2", "--length", "14"]) == 0
         out = capsys.readouterr().out
@@ -258,10 +245,40 @@ class TestCliCommands:
         assert "action 0:" in out
         assert "tokens/pass" in out
 
-    def test_ablate_outputs_rows(self, capsys):
+    def test_ablate_outputs_rows(self, tmp_path, capsys, monkeypatch):
         assert main(["ablate", "--episodes", "2", "--length", "14", "--r", "0", "--r", "9"]) == 0
         out = capsys.readouterr().out
         assert "tokens/pass" in out
+        # ``ablate`` renders no measured speedup, so it times nothing.
+        path = write_config(
+            tmp_path,
+            {
+                "episodes": 1,
+                "target_length": 14,
+                "r_values": [0, 9],
+                "verify_latency": 0.002,
+                "draft_latency": 0.0001,
+                "measure_speedup": True,
+            },
+        )
+
+        def no_timing(config):
+            raise AssertionError("ablate timed a decode")
+
+        monkeypatch.setattr("specdec.cli.measure_speedup", no_timing)
+        assert main(["ablate", "--config", path]) == 0
+        assert "tokens/pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["bench", "ablate"])
+    def test_failed_identity_exits_one(self, command, capsys, monkeypatch):
+        def fail(report):
+            raise ValueError("proportions do not sum to 1")
+
+        monkeypatch.setattr("specdec.cli.validate_report", fail)
+        assert main([command, "--episodes", "1", "--length", "14", "--r", "0", "--r", "9"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "report identity check failed: proportions do not sum to 1\n"
 
     def test_output_file_byte_stable(self, tmp_path):
         out_a = tmp_path / "a.json"
@@ -347,13 +364,13 @@ class TestCliCommands:
         assert payload["config"]["seed"] == 4
         assert {row["r"] for row in payload["policies"]} == {0, 9}
 
-    def test_bench_with_measurement_reports_measured_speedup(self, tmp_path, capsys):
+    def test_bench_with_measurement_reports_measured_speedup(self, tmp_path, capsys, monkeypatch):
         path = write_config(
             tmp_path,
             {
                 "episodes": 1,
                 "target_length": 14,
-                "r_values": [0],
+                "r_values": [0, 9],
                 "top_k": 1,
                 "agreement_p": 1.0,
                 "verify_latency": 0.002,
@@ -361,11 +378,24 @@ class TestCliCommands:
                 "measure_speedup": True,
             },
         )
+        ar_calls = []
+
+        def counting_ar_decode(*args, **kwargs):
+            ar_calls.append(args)
+            return ar_decode(*args, **kwargs)
+
+        monkeypatch.setattr("specdec.harness.ar_decode", counting_ar_decode)
         assert main(["bench", "--config", path, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        measured = payload["policies"][0]["measured_speedup"]
+        # Greedy decoding does not depend on r: it runs once per episode (one
+        # here), not once per threshold, and every row shares its time.
+        assert len(ar_calls) == 1
+        rows = payload["policies"]
+        assert [row["r"] for row in rows] == [0, 9]
+        measured, measured9 = (row["measured_speedup"] for row in rows)
+        assert measured["ar_seconds"] == measured9["ar_seconds"]
         assert measured["measured"] > 1.0
-        assert payload["policies"][0]["estimated_speedup"] > 1.0
+        assert rows[0]["estimated_speedup"] > 1.0
         # The table renderer carries the measurement column too.
         assert main(["bench", "--config", path, "--format", "table"]) == 0
         assert "meas.speedup" in capsys.readouterr().out

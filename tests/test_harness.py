@@ -181,7 +181,7 @@ class TestMeasureSpeedup:
     def test_config_without_latencies_rejected(self):
         config = small_config(episodes=1, target_length=14)
         with pytest.raises(ConfigValueError, match="verify_latency and draft_latency"):
-            measure_speedup(config, r=0)
+            measure_speedup(config)
 
     def test_overhead_regime_slower_than_ar(self):
         # Draft as expensive as the verifier: the analytic model predicts
@@ -191,10 +191,11 @@ class TestMeasureSpeedup:
             target_length=14,
             top_k=1,
             agreement_p=0.5,
+            r_values=(0,),
             verify_latency=0.004,
             draft_latency=0.004,
         )
-        measurement = measure_speedup(config, r=0)
+        measurement = measure_speedup(config)[0]
         assert measurement.measured < 1.0
         assert measurement.analytic < 1.0
 
@@ -204,10 +205,11 @@ class TestMeasureSpeedup:
             target_length=35,
             top_k=1,
             agreement_p=1.0,
+            r_values=(0,),
             verify_latency=0.010,
             draft_latency=0.0005,
         )
-        measurement = measure_speedup(config, r=0)
+        measurement = measure_speedup(config)[0]
         assert measurement.tokens_per_pass == pytest.approx(5.0)
         assert measurement.measured == pytest.approx(measurement.analytic, rel=0.10)
 

@@ -1,4 +1,4 @@
-"""Dynamic draft tree: budgeted top-k expansion, self-checking trees and path enumeration.
+"""Dynamic draft tree: budgeted top-k expansion, each input checked once, and path enumeration.
 
 The tree grows level by level.  At each depth every surviving frontier node
 is expanded with the draft model's top-k proposals, and every child goes
@@ -25,6 +25,12 @@ states as a lazy sequence whose length is the whole frontier, and each
 state is built from its path only when the draft reads it, so a lazy draft
 never builds or scores the states of cut nodes.  Chains and trees take the
 same path.
+
+Each input is checked once.  ``build_tree`` checks every proposal as it
+reads it, and its ranking keeps the tree within budget and closed under
+parents, so it returns its tree without the constructor's check.  A tree
+built by hand, through ``DraftTree(...)`` or ``dataclasses.replace``,
+checks itself when it is constructed.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .models import DraftModel, PrefixState, _Lazy
 
@@ -47,6 +54,8 @@ class TreeStructureError(ValueError):
     * a node token that is not an integer >= 0, or lies outside the
       verifier's vocabulary;
     * a repeated sibling token;
+    * a ``propose_many`` result, or one state's proposals, that is not
+      iterable;
     * a proposal that is not an ``(int, log-score)`` pair, or whose
       log-score is not finite and at most the draft's ``max_log_score``;
     * a draft ``max_log_score`` that is not a real number in (-inf, 0];
@@ -75,8 +84,7 @@ class TreeParams:
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class DraftNode:
+class DraftNode(NamedTuple):
     token: int
     parent: int  # index into the node list, ROOT for depth-1 nodes
     depth: int  # root children have depth 1
@@ -89,7 +97,7 @@ class DraftTree:
     params: TreeParams
 
     def __post_init__(self) -> None:
-        # The one tree check: the dataclass is frozen, so a tree stays well formed.
+        # A hand-built tree's check; the dataclass is frozen, so a tree stays well formed.
         object.__setattr__(self, "nodes", tuple(self.nodes))
         self.validate()
 
@@ -133,8 +141,9 @@ def build_tree(
     """Grow a draft tree from ``state`` under the given expansion budget.
 
     Raises :class:`TreeStructureError` for a draft ``max_log_score`` that is
-    not a real number in (-inf, 0], and for a proposal it reads that is not
-    an ``(int, log-score)`` pair, whose token lies outside
+    not a real number in (-inf, 0], for a ``propose_many`` result or one
+    state's proposals that is not iterable, and for a proposal it reads that
+    is not an ``(int, log-score)`` pair, whose token lies outside
     ``[0, vocab_size)``, whose log-score is non-finite or above that bound,
     or whose token repeats a sibling's.
     """
@@ -155,7 +164,11 @@ def build_tree(
         if not frontier:
             break
         states = _Lazy(state.extend_many, [key[2] for key in frontier]) if depth > 1 else [state]
-        proposals = iter(draft.propose_many(states, params.top_k))
+        proposed = draft.propose_many(states, params.top_k)
+        try:
+            proposals = iter(proposed)
+        except TypeError:
+            raise TreeStructureError(f"propose_many returned non-iterable {proposed!r}") from None
 
         for key in frontier:
             # A frontier node pushed out of ``ranked`` is cut, and so are its
@@ -169,6 +182,10 @@ def build_tree(
             if props is None:  # fewer lists than states: the rest propose nothing
                 break
             path = key[2]
+            try:
+                props = iter(props)
+            except TypeError:
+                raise TreeStructureError(f"proposals {props!r} under {path} not iterable") from None
             base = -key[0] if path else 0.0
             siblings: set[int] = set()
             for proposal in props:
@@ -209,15 +226,19 @@ def build_tree(
     for neg_cum, d, path in ranked:
         parent = ROOT if len(path) == 1 else index_of[path[:-1]]
         index_of[path] = len(nodes)
-        nodes.append(DraftNode(token=path[-1], parent=parent, depth=d, cum_score=-neg_cum))
-    return DraftTree(nodes=tuple(nodes), params=params)
+        nodes.append(DraftNode(path[-1], parent, d, -neg_cum))
+    # Checked as read, closed under parents and in budget: skip the constructor's re-check.
+    tree = object.__new__(DraftTree)
+    tree.__dict__.update(nodes=tuple(nodes), params=params)
+    return tree
 
 
 def enumerate_paths(tree: DraftTree) -> list[list[int]]:
-    """All root-to-leaf node-index paths, best leaf cumulative score first.
+    """All root-to-leaf node-index paths, one per leaf, in leaf node order.
 
-    Node order already sorts by descending cumulative score (ties broken
-    structurally), so filtering leaves preserves that order.
+    A tree from :func:`build_tree` lists its nodes by descending cumulative
+    score (ties broken structurally), so its paths come best leaf score
+    first; a hand-built tree's come in whatever order its leaves do.
     """
     has_child = [False] * len(tree.nodes)
     for node in tree.nodes:

@@ -105,15 +105,16 @@ def verify_tree(
     ``verified`` has one entry per node plus the pre-root position:
     ``verified[0]`` conditions on the committed prefix alone and
     ``verified[i + 1]`` on the prefix extended by node ``i``'s root path.
-    Ties on accepted length go to the path with the best leaf cumulative
-    score (the enumeration order), then the lower path index.  A tree
-    with no nodes degrades to one AR step: the empty path, fully accepted,
-    followed by the verifier's bonus token.  ``chosen_path`` indexes
-    :func:`enumerate_paths`.  ``verified`` is read only at the root, each
-    accepted node that has children and the chosen tip, each once, so it
-    may be a lazy sequence such as the round of ints a verifier's
-    ``batch`` returns.  The tree checked itself when it was constructed;
-    a ``verified`` of the wrong length raises :class:`TreeStructureError`.
+    Ties on accepted length go to the path whose leaf comes first in node
+    order.  A tree with no nodes degrades to one AR step: the empty path,
+    fully accepted, followed by the verifier's bonus token.
+    ``chosen_path`` is the chosen leaf's index among the leaves in node
+    order, which indexes :func:`enumerate_paths`.  ``verified`` is read
+    only at the root, each accepted node that has children and the chosen
+    tip, each once, so it may be a lazy sequence such as the round of ints
+    a verifier's ``batch`` returns.  The tree was checked when it was
+    built, by ``build_tree`` or by its constructor; a ``verified`` of the
+    wrong length raises :class:`TreeStructureError`.
     """
     nodes = tree.nodes
     if len(verified) != len(nodes) + 1:

@@ -114,6 +114,16 @@ def random_tree(rng: np.random.Generator, max_nodes=50, max_depth=4,
     return DraftTree(nodes=tuple(nodes), params=params)
 
 
+def rebuilt(tree: DraftTree) -> DraftTree:
+    """``tree``, after asserting that the public constructor accepts it unchanged.
+
+    ``build_tree`` returns its trees without the constructor's check, so
+    this is the guard that every tree it builds would pass that check.
+    """
+    assert DraftTree(nodes=tree.nodes, params=tree.params) == tree
+    return tree
+
+
 def token_path(tree: DraftTree, index: int) -> tuple[int, ...]:
     """Root-to-node tokens for the node at ``index``, by a parent-pointer walk."""
     rev = []

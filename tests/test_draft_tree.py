@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import types
 from collections.abc import Sequence
 
 import numpy as np
@@ -20,7 +21,7 @@ from specdec.draft_tree import (
 )
 from specdec.models import HashVerifier, PrefixState, make_noisy_draft
 
-from helpers import WithBound, random_tree, token_path
+from helpers import WithBound, random_tree, rebuilt, token_path
 
 VOCAB = 256  # HashVerifier's default vocabulary
 
@@ -250,7 +251,7 @@ class TestBuildTree:
         def check(state, draft, params, trial):
             kept = exhaustive_rerank_oracle(state, draft, params)
             for reordered in (ReorderedDraft(draft), ReorderedDraft(draft, seed=trial)):
-                tree = build_tree(state, reordered, params, VOCAB)
+                tree = rebuilt(build_tree(state, reordered, params, VOCAB))
                 assert [token_path(tree, i) for i in range(len(tree.nodes))] == list(kept)
                 assert [n.cum_score for n in tree.nodes] == list(kept.values())
 
@@ -279,7 +280,7 @@ class TestBuildTree:
                 max_nodes=int(rng.integers(1, 61)),
             )
             state = PrefixState(prompt_id=str(rng.integers(1 << 30)))
-            tree = build_tree(state, draft, params, VOCAB)
+            tree = rebuilt(build_tree(state, draft, params, VOCAB))
             assert 1 <= len(tree.nodes) <= params.max_nodes
             assert max(n.depth for n in tree.nodes) <= params.max_depth
 
@@ -407,9 +408,9 @@ class TestLogScoreBound:
             tied = WithBound(TiedDraft(trial, (-0.5, -1.0, -1.5)), -0.5)
             state = PrefixState(prompt_id=f"bound{trial}")
             for draft in (noisy, tied):
-                tree = build_tree(state, draft, params, VOCAB)
+                tree = rebuilt(build_tree(state, draft, params, VOCAB))
                 assert self.built(tree) == self.built(
-                    build_tree(state, WithBound(draft), params, VOCAB)
+                    rebuilt(build_tree(state, WithBound(draft), params, VOCAB))
                 )
                 # The oracle drafts every candidate: skip the widest, deepest
                 # trees.  A tied draft proposes at most 6 tokens.
@@ -425,7 +426,7 @@ class TestLogScoreBound:
             recorder = LevelRecorder(draft)
             if hasattr(draft, "max_log_score"):
                 recorder.max_log_score = draft.max_log_score
-            build_tree(state, recorder, params, VOCAB)
+            rebuilt(build_tree(state, recorder, params, VOCAB))
             return sum(recorder.read)
 
         rng = np.random.default_rng(31)
@@ -513,6 +514,13 @@ class TestBadProposals:
         with pytest.raises(TreeStructureError, match="is not an"):
             build_tree(PrefixState(), FixedDraft(proposals), self.PARAMS, VOCAB)
 
+    @pytest.mark.parametrize("result", [None, [5]], ids=["none-result", "int-proposals"])
+    def test_non_iterable_proposals_rejected(self, result):
+        # Unchecked, both fail with a stray TypeError from ``iter``.
+        draft = types.SimpleNamespace(propose_many=lambda states, k: result)
+        with pytest.raises(TreeStructureError, match="iterable"):
+            build_tree(PrefixState(), draft, TreeParams(2, 2, 5), VOCAB)
+
     def test_numpy_tokens_stored_as_ints(self):
         plain = [(10, -0.1), (11, -0.2), (12, -0.3)]
         numpy = [(np.int64(10), -0.1), (np.int32(11), np.float64(-0.2)), (np.uint8(12), -0.3)]
@@ -588,7 +596,7 @@ class TestValidate:
 
     def test_replace_with_malformed_nodes_rejected(self):
         tree = build_tree(PrefixState(), models_for(4)[1], TreeParams(), VOCAB)
-        dangling = dataclasses.replace(tree.nodes[-1], parent=len(tree.nodes))
+        dangling = tree.nodes[-1]._replace(parent=len(tree.nodes))
         with pytest.raises(TreeStructureError, match="dangling"):
             dataclasses.replace(tree, nodes=tree.nodes[:-1] + (dangling,))
         with pytest.raises(TreeStructureError, match="exceed budget"):
@@ -609,7 +617,7 @@ class TestValidate:
         child = DraftNode(token=6, parent=0.0, depth=2, cum_score=-0.2)
         with pytest.raises(TreeStructureError, match="node 1 parent 0.0 .* not an integer"):
             DraftTree(nodes=(first, child), params=params)
-        DraftTree(nodes=(first, dataclasses.replace(child, parent=np.int64(0))), params=params)
+        DraftTree(nodes=(first, child._replace(parent=np.int64(0))), params=params)
 
     def test_non_integer_depth_rejected(self):
         # Accepted, a depth of 2.0 would index a per-dimension threshold in verify_tree.
@@ -618,7 +626,7 @@ class TestValidate:
         child = DraftNode(token=6, parent=0, depth=2.0, cum_score=-0.2)
         with pytest.raises(TreeStructureError, match="node 1 .* depth 2.0 is not an integer"):
             DraftTree(nodes=(first, child), params=params)
-        DraftTree(nodes=(first, dataclasses.replace(child, depth=np.int64(2))), params=params)
+        DraftTree(nodes=(first, child._replace(depth=np.int64(2))), params=params)
 
 
 class TestEnumeratePaths:

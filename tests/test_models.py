@@ -372,7 +372,7 @@ class TestVerifierBatch:
         tree = random_tree(rng, max_nodes=20)
         as_numpy = dataclasses.replace(
             tree,
-            nodes=tuple(dataclasses.replace(n, token=np.int64(n.token)) for n in tree.nodes),
+            nodes=tuple(n._replace(token=np.int64(n.token)) for n in tree.nodes),
         )
         v = HashVerifier(seed=3)
         for prompt in ("a", "b", "c", "d"):

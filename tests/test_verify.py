@@ -450,6 +450,20 @@ class TestDecodeEpisode:
             )
             assert tokens == ar_decode(state, verifier, 21)
 
+    def test_engine_trees_are_checked_once(self, monkeypatch):
+        # build_tree checks each proposal as it reads it, so its trees skip
+        # the constructor's tree check; a hand-built tree still runs it.
+        calls = []
+        check = DraftTree.validate
+        monkeypatch.setattr(DraftTree, "validate", lambda tree: calls.append(tree) or check(tree))
+        verifier, draft = models_for(5)
+        _, outcomes = decode_episode(
+            PrefixState(), verifier, draft, TreeParams(), AcceptancePolicy.relaxed(9), 30
+        )
+        assert outcomes and calls == []
+        DraftTree(nodes=(), params=TreeParams())
+        assert len(calls) == 1
+
     def test_perfect_draft_emits_depth_plus_one_each_step(self):
         for depth in (1, 2, 4):
             verifier, draft = models_for(41, agreement_p=1.0, noise_sigma=1.0)

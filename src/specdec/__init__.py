@@ -48,7 +48,6 @@ from .report import Report, aggregate, render_csv, render_json, render_table, va
 from .verify import (
     AcceptancePolicy,
     VerifyOutcome,
-    accept_token,
     ar_decode,
     decode_episode,
     verify_tree,
@@ -79,7 +78,6 @@ __all__ = [
     "TreeParams",
     "TreeStructureError",
     "VerifyOutcome",
-    "accept_token",
     "aggregate",
     "analytic_speedup",
     "ar_decode",

@@ -20,11 +20,14 @@ last entry, by the draft's declared ``max_log_score`` (0.0 if it declares
 none).  That cut is exact too: a child of a node with rank score ``key``
 has rank score ``-(cum + logp) >= fl(key - bound)``, because rounding is
 monotone; later frontier nodes rank after this one; and the last entry
-only gets better while the level is read.  The draft gets the level's
-states as a lazy sequence whose length is the whole frontier, and each
-state is built from its path only when the draft reads it, so a lazy draft
-never builds or scores the states of cut nodes.  Chains and trees take the
-same path.
+only gets better while the level is read.  Once the list is full, a
+child whose score ranks after the last entry is dropped before its path
+and rank key are built.  The draft gets the level's states as a lazy
+sequence whose length is the whole frontier.  Each state is built only
+when the draft reads it, with one mix from its parent's state, which is
+built first the same way if the draft never read it.  So a lazy draft
+never builds or scores the states of cut nodes.  Chains and trees take
+the same path.
 
 Each input is checked once.  ``build_tree`` checks every proposal as it
 reads it, and its ranking keeps the tree within budget and closed under
@@ -56,8 +59,9 @@ class TreeStructureError(ValueError):
     * a repeated sibling token;
     * a ``propose_many`` result, or one state's proposals, that is not
       iterable;
-    * a proposal that is not an ``(int, log-score)`` pair, or whose
-      log-score is not finite and at most the draft's ``max_log_score``;
+    * a proposal that is not an ``(int, log-score)`` pair with a real
+      log-score, or whose log-score is not finite and at most the draft's
+      ``max_log_score``;
     * a draft ``max_log_score`` that is not a real number in (-inf, 0];
     * a ``verified`` list whose length does not match its tree.
     """
@@ -143,9 +147,9 @@ def build_tree(
     Raises :class:`TreeStructureError` for a draft ``max_log_score`` that is
     not a real number in (-inf, 0], for a ``propose_many`` result or one
     state's proposals that is not iterable, and for a proposal it reads that
-    is not an ``(int, log-score)`` pair, whose token lies outside
-    ``[0, vocab_size)``, whose log-score is non-finite or above that bound,
-    or whose token repeats a sibling's.
+    is not an ``(int, log-score)`` pair with a real log-score, whose token
+    lies outside ``[0, vocab_size)``, whose log-score is non-finite or above
+    that bound, or whose token repeats a sibling's.
     """
     # Each candidate is stored as its rank key (-cum_score, depth, path): best
     # score first, then shallower, then lexicographic token path.  Fully
@@ -159,11 +163,23 @@ def build_tree(
     max_nodes = params.max_nodes
     ranked: list[tuple[float, int, tuple[int, ...]]] = []  # the best max_nodes, in order
     frontier = [(0.0, 0, ())]  # nodes to expand next, best first
+    built = {(): state}  # the last state built for each path read
+
+    def state_after(path: tuple[int, ...]) -> PrefixState:
+        # Each read builds the state with one mix from its parent's.  A
+        # parent that no draft read is built first, the same way, after its
+        # own unread ancestors, root side first, so calls nest one deep.
+        parent = built.get(path[:-1])
+        if parent is None:
+            for m in range(1, len(path)):
+                parent = built.get(path[:m]) or state_after(path[:m])
+        built[path] = state = parent.extend_many(path[-1:])
+        return state
 
     for depth in range(1, params.max_depth + 1):
         if not frontier:
             break
-        states = _Lazy(state.extend_many, [key[2] for key in frontier]) if depth > 1 else [state]
+        states = _Lazy(state_after, [key[2] for key in frontier]) if depth > 1 else [state]
         proposed = draft.propose_many(states, params.top_k)
         try:
             proposals = iter(proposed)
@@ -193,6 +209,9 @@ def build_tree(
                     token, logp = proposal
                     # An integer token, so the models can fold it into a key.
                     token = operator.index(token)
+                    # A real log-score, ``float`` first as for the bound.
+                    if not (type(logp) is float or isinstance(logp, numbers.Real)):
+                        raise TypeError
                     # The ranking needs finite log-scores <= 0 (a child never
                     # outranks its parent), within the declared bound, and
                     # one candidate per token.
@@ -212,12 +231,16 @@ def build_tree(
                 if token in siblings:
                     raise TreeStructureError(f"draft proposed token {token} twice under {path}")
                 siblings.add(token)
-                child = (-(base + logp), depth, path + (token,))
+                score = -(base + logp)
                 if len(ranked) < max_nodes:
-                    bisect.insort(ranked, child)
-                elif child < ranked[-1]:
-                    ranked.pop()
-                    bisect.insort(ranked, child)
+                    bisect.insort(ranked, (score, depth, path + (token,)))
+                # A full list: a child that scores worse than the last entry
+                # cannot enter, so its path and key are never built.
+                elif score <= ranked[-1][0]:
+                    child = (score, depth, path + (token,))
+                    if child < ranked[-1]:
+                        ranked.pop()
+                        bisect.insort(ranked, child)
 
         frontier = [key for key in ranked if key[1] == depth]
 

@@ -150,8 +150,10 @@ class TreeDistributions(_Lazy):
 
     Item 0 is the argmax after the committed prefix and item ``i + 1`` the
     argmax after node *i*'s root path, all from one batched round, matching
-    a single tree-attention forward pass.  The round holds one prefix key
-    per item and draws an item only when it is read.
+    a single tree-attention forward pass.  The round holds the committed
+    prefix's key and each node's checked token.  When an item is first
+    read, its prefix key is folded from its parent's, which is folded first
+    if it was never read, and kept for the round; the item is drawn then.
     """
 
     __slots__ = ()
@@ -253,10 +255,8 @@ class HashVerifier:
         return self._memo(state.key)
 
     def batch(self, state: PrefixState, tree: DraftTree) -> TreeDistributions:
-        # Nodes are stored parents-first, so each node's key extends an
-        # earlier one: node i's key is keys[i + 1], and a ROOT (-1) parent
-        # reads the committed prefix's, keys[0].
-        keys = [state.key]
+        # Every token is checked now; a key is folded only when it is read.
+        tokens = []
         for i, node in enumerate(tree.nodes):
             token = operator.index(node.token)
             if token >= self.vocab_size:
@@ -264,8 +264,22 @@ class HashVerifier:
                 raise TreeStructureError(
                     f"node {i} token {token} is outside vocabulary [0, {self.vocab_size})"
                 )
-            keys.append(_mix(keys[node.parent + 1] ^ token))
-        return TreeDistributions(self._memo, keys)
+            tokens.append(token)
+        keys = [state.key] + [None] * len(tokens)
+        return TreeDistributions(partial(self._read, keys, tree.nodes, tokens), range(len(keys)))
+
+    def _read(self, keys: list, nodes: Sequence, tokens: list[int], i: int) -> int:
+        # Node j's key is keys[j + 1], a ROOT (-1) parent's is keys[0], and
+        # None marks one not folded yet: walk up to a folded key, then fold
+        # each key on the way back down from its parent's.
+        unfolded = []
+        while keys[i] is None:
+            unfolded.append(i)
+            i = nodes[i - 1].parent + 1
+        key = keys[i]
+        for j in reversed(unfolded):
+            key = keys[j] = _mix(key ^ tokens[j - 1])
+        return self._memo(key)
 
 
 def displacement_pmf(noise_sigma: float, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -347,16 +361,13 @@ class NoisyDraft:
         self._ranked = cache(partial(_ranked, self.vocab_size))
         self.max_log_score = max(self._ranked(c, 1)[0][1] for c in (0, self.vocab_size - 1))
 
-    @staticmethod
-    def _uniform(salt: int, state: PrefixState) -> float:
-        return _mix(state.key ^ salt) / 2.0**64
-
     def _center(self, state: PrefixState) -> int:
         """Top-1 proposal for this prefix: verifier argmax, possibly displaced."""
         target = self.verifier.next(state)
-        if self._uniform(self._agree, state) < self.agreement_p:
+        # Each uniform in [0, 1) is the prefix key mixed with its stream's salt.
+        if _mix(state.key ^ self._agree) / 2.0**64 < self.agreement_p:
             return target
-        u = self._uniform(self._displace, state)
+        u = _mix(state.key ^ self._displace) / 2.0**64
         idx = min(bisect_right(self._cdf, u), len(self._offsets) - 1)
         return min(max(target + self._offsets[idx], 0), self.vocab_size - 1)
 

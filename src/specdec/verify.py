@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .action_space import CHUNK_SIZE, bin_distance
+from .action_space import CHUNK_SIZE
 from .draft_tree import ROOT, DraftTree, TreeParams, TreeStructureError, build_tree
 from .models import DraftModel, PrefixState, Verifier
 
@@ -71,11 +71,6 @@ class AcceptancePolicy:
         return self.r
 
 
-def accept_token(draft: int, verified: int, policy: AcceptancePolicy, dimension: int) -> bool:
-    """Accept ``draft`` against the verifier argmax for one action dimension."""
-    return bin_distance(draft, verified) <= policy.effective_r(dimension)
-
-
 @dataclass(frozen=True)
 class VerifyOutcome:
     """Result of one verification step.
@@ -122,6 +117,10 @@ def verify_tree(
             f"expected {len(nodes) + 1} verifier argmaxes, got {len(verified)}"
         )
     read: dict[int, int] = {}
+    # Each depth's threshold for this step, resolved once; node depths run
+    # from 1 to max_depth and never past the node count.
+    depths = range(min(tree.params.max_depth, len(nodes)))
+    r_at = [policy.effective_r((start_position + d) % CHUNK_SIZE) for d in depths]
 
     def argmax(j: int) -> int:
         """The argmax after node ``j`` (ROOT: the committed prefix), looked up once."""
@@ -132,7 +131,8 @@ def verify_tree(
     # One parents-first pass: ``tip[i]`` is the deepest node of the accepted
     # prefix on node i's root path (ROOT when none is accepted).  A node
     # extends its parent's tip when that tip is the parent itself and the
-    # node's token passes against the argmax its parent conditions.
+    # node's bin lies within its depth's threshold of the argmax its parent
+    # conditions.
     tip: list[int] = []
     has_child = [False] * len(nodes)
     for i, node in enumerate(nodes):
@@ -142,8 +142,8 @@ def verify_tree(
         else:
             parent_tip = tip[parent]
             has_child[parent] = True
-        extends = parent_tip == parent and accept_token(
-            node.token, argmax(parent), policy, (start_position + node.depth - 1) % CHUNK_SIZE
+        extends = parent_tip == parent and (
+            abs(int(node.token) - int(argmax(parent))) <= r_at[node.depth - 1]
         )
         tip.append(i if extends else parent_tip)
 

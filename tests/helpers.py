@@ -7,6 +7,7 @@ the implementation instead of echoing it.
 
 import numpy as np
 
+from specdec.action_space import bin_distance
 from specdec.draft_tree import ROOT, DraftNode, DraftTree, TreeParams, build_tree
 from specdec.models import NoisyDraft, PrefixState
 
@@ -131,6 +132,11 @@ def token_path(tree: DraftTree, index: int) -> tuple[int, ...]:
         rev.append(tree.nodes[index].token)
         index = tree.nodes[index].parent
     return tuple(reversed(rev))
+
+
+def accept_token(draft, verified, policy, dimension) -> bool:
+    """Oracle: accept ``draft`` against the verifier argmax for one action dimension."""
+    return bin_distance(draft, verified) <= policy.effective_r(dimension)
 
 
 def reference_verify_path(path_tokens, verified, r_for_dim, start_position):

@@ -5,6 +5,7 @@ import math
 import random
 import types
 from collections.abc import Sequence
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -363,6 +364,32 @@ class TestFrontierStates:
             assert list(reversed(states)) == list(reversed(expected))
             assert states.index(expected[-1]) == n - 1 and expected[0] in states
 
+    @pytest.mark.parametrize(
+        "params, level", [(TreeParams(2, 3, 50), 3), (TreeParams(1, 1200, 1200), 1100)],
+        ids=["tree", "deep-chain"],
+    )
+    def test_states_of_unread_parents_are_built_first(self, params, level):
+        class ReadsOneLevel:
+            """Proposes the same tokens everywhere and reads only ``level``'s states."""
+
+            def __init__(self):
+                self.levels = []
+
+            def propose_many(self, states, k):
+                self.levels.append(list(states) if len(self.levels) == level - 1 else None)
+                return [[(10, -0.1), (11, -0.2)][:k]] * len(states)
+
+        root = PrefixState(prompt_id="unread", emitted=(2, 7))
+        draft = ReadsOneLevel()
+        tree = build_tree(root, draft, params, VOCAB)
+        read = draft.levels[level - 1]
+        expected = [
+            root.extend_many(token_path(tree, i))
+            for i, n in enumerate(tree.nodes) if n.depth == level - 1
+        ]
+        assert read and read == expected
+        assert [s.key for s in read] == [s.key for s in expected]
+
     def test_states_past_the_cut_are_never_built(self, monkeypatch):
         built = []
         extend_many = PrefixState.extend_many
@@ -507,8 +534,13 @@ class TestBadProposals:
             [(10, "x"), (11, -0.2), (12, -0.3)],
             [7, (11, -0.2), (12, -0.3)],
             [(1, -0.1, 0), (11, -0.2), (12, -0.3)],
+            # Unchecked, an array score builds a tree whose ``cum_score`` is
+            # an array, and a Decimal one fails with a stray TypeError.
+            [(10, np.array([-1.0])), (11, -0.2), (12, -0.3)],
+            [(10, Decimal("-1")), (11, -0.2), (12, -0.3)],
         ],
-        ids=["float-token", "str-token", "str-score", "bare-token", "triple"],
+        ids=["float-token", "str-token", "str-score", "bare-token", "triple", "array-score",
+             "decimal-score"],
     )
     def test_malformed_proposal_rejected(self, proposals):
         with pytest.raises(TreeStructureError, match="is not an"):

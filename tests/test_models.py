@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdec import models
-from specdec.draft_tree import TreeParams, build_tree, enumerate_paths
+from specdec.draft_tree import TreeParams, TreeStructureError, build_tree, enumerate_paths
 from specdec.models import (
     MEMO_LIMIT,
     HashVerifier,
@@ -319,8 +319,36 @@ class TestLazy:
             with pytest.raises(IndexError):
                 items[index]
 
+    @pytest.mark.parametrize("order", ["reversed", "slices", "nodes"])
+    def test_a_round_reads_the_same_in_any_order(self, order, monkeypatch):
+        items, expected, _ = verifier_round(monkeypatch)  # no key folded yet
+        if order == "reversed":
+            read = list(reversed(items))[::-1]
+        elif order == "slices":
+            deepest = items[:-8:-1]  # the last seven positions, last first
+            read = items[:-7] + deepest[::-1]
+        else:
+            nodes = [d.argmax for d in items.nodes]
+            read = [items.root.argmax] + nodes
+        assert read == expected
+
 
 class TestVerifierBatch:
+    def test_out_of_vocabulary_token_on_an_unread_node_raises(self, monkeypatch):
+        draws = record_draws(monkeypatch)
+        v = HashVerifier(seed=5)
+        state = state_of(7)
+        tree = build_tree(state, make_noisy_draft(v, 0.5, 6.0), TreeParams(), v.vocab_size)
+        last = max(i for i, node in enumerate(tree.nodes) if node.depth == 4)
+        nodes = list(tree.nodes)
+        nodes[last] = nodes[last]._replace(token=v.vocab_size)
+        bad = dataclasses.replace(tree, nodes=tuple(nodes))
+        draws.clear()
+        # Every token is checked when the round is made, read or not.
+        with pytest.raises(TreeStructureError, match="outside vocabulary"):
+            HashVerifier(seed=5).batch(state, bad)
+        assert draws == []
+
     def test_single_node_tree_matches_next(self, monkeypatch):
         v = HashVerifier(seed=2)
         draft = make_noisy_draft(v, agreement_p=1.0, noise_sigma=1.0)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specdec import models
 from specdec.action_space import bin_distance, detokenize
 from specdec.draft_tree import (
     ROOT,
@@ -22,7 +23,6 @@ from specdec.draft_tree import (
 from specdec.models import HashVerifier, PrefixState, make_noisy_draft
 from specdec.verify import (
     AcceptancePolicy,
-    accept_token,
     ar_decode,
     decode_episode,
     verify_tree,
@@ -32,6 +32,7 @@ from helpers import (
     ScriptedDraft,
     ScriptedVerifier,
     WithBound,
+    accept_token,
     chain_expected_accepted,
     chain_q,
     random_tree,
@@ -129,14 +130,23 @@ def well_formed(proposal):
     )
 
 
+def accepts(draft, verified, policy, dimension) -> bool:
+    """Whether ``verify_tree`` accepts a one-node tree holding ``draft`` at
+    ``dimension``, after checking that the ``accept_token`` oracle agrees."""
+    tree = DraftTree(nodes=(DraftNode(draft, ROOT, 1, -0.1),), params=TreeParams(1, 1, 1))
+    accepted = verify_tree(tree, [verified, verified], policy, dimension).accepted == 1
+    assert accepted == accept_token(draft, verified, policy, dimension)
+    return accepted
+
+
 class TestAcceptToken:
     def test_within_threshold_accepts(self):
         # Distance 9 at threshold 9: the closed bound accepts.
-        assert accept_token(128, 137, AcceptancePolicy.relaxed(9), dimension=0)
+        assert accepts(128, 137, AcceptancePolicy.relaxed(9), dimension=0)
 
     def test_beyond_threshold_rejects(self):
         # Distance 11 at threshold 5.
-        assert not accept_token(109, 98, AcceptancePolicy.relaxed(5), dimension=0)
+        assert not accepts(109, 98, AcceptancePolicy.relaxed(5), dimension=0)
 
     def test_exact_match_accepts_under_any_policy(self):
         for policy in (
@@ -147,17 +157,18 @@ class TestAcceptToken:
         ):
             for token in (0, 137, 255):
                 for dim in range(7):
-                    assert accept_token(token, token, policy, dim)
+                    assert accepts(token, token, policy, dim)
 
     def test_strict_requires_equality(self):
-        assert not accept_token(128, 129, AcceptancePolicy.strict(), dimension=0)
+        assert not accepts(128, 129, AcceptancePolicy.strict(), dimension=0)
 
     def test_per_dimension_override(self):
         policy = AcceptancePolicy.relaxed(9, per_dimension_r=[9, 9, 9, 9, 9, 9, 0])
-        assert accept_token(100, 105, policy, dimension=0)
-        assert not accept_token(100, 105, policy, dimension=6)
+        assert accepts(100, 105, policy, dimension=0)
+        assert not accepts(100, 105, policy, dimension=6)
         assert policy.effective_r(6) == 0
         assert policy.effective_r(13) == 0  # dimension index wraps mod 7
+        assert not accepts(100, 105, policy, dimension=13)
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -559,7 +570,11 @@ class TestDecodeEpisode:
                 PrefixState(), verifier, ScoringDraft(), params, AcceptancePolicy.strict(), 7
             )
 
-    def test_verifier_evaluations_at_the_default_tree(self):
+    def test_verifier_evaluations_at_the_default_tree(self, monkeypatch):
+        mixes = []
+        mix = models._mix
+        monkeypatch.setattr(models, "_mix", lambda x: mixes.append(x) or mix(x))
+
         def evals(hide_bound):
             # The draft scores its states through the same counting verifier.
             verifier = RecordingVerifier(HashVerifier(seed=0))
@@ -576,7 +591,12 @@ class TestDecodeEpisode:
         # 3,406, and also stopping at the first whose best child, under the
         # draft's declared log-score bound, cannot enter it takes 2,565.
         assert evals(hide_bound=True) == (34, 3406)
+        mixes.clear()
         assert evals(hide_bound=False) == (34, 2565)
+        # Pinned too: the key mixes of that decode, draws included.  Keying
+        # every tree position at the round and refolding each draft state's
+        # whole path took 5,454.
+        assert len(mixes) == 2981
 
     def test_empty_draft_degrades_to_ar_steps(self):
         verifier = HashVerifier(seed=46)

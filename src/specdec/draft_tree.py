@@ -149,7 +149,11 @@ def build_tree(
     state's proposals that is not iterable, and for a proposal it reads that
     is not an ``(int, log-score)`` pair with a real log-score, whose token
     lies outside ``[0, vocab_size)``, whose log-score is non-finite or above
-    that bound, or whose token repeats a sibling's.
+    that bound, or whose token repeats a sibling's.  A proposal of an exact
+    ``int`` and an exact ``float`` passes one combined test; any other, and
+    any that fails it, takes every check in that order, so its error is the
+    same either way.  Level states are built by ``PrefixState._after``, from
+    the parent's state and the path's last token, already a checked ``int``.
     """
     # Each candidate is stored as its rank key (-cum_score, depth, path): best
     # score first, then shallower, then lexicographic token path.  Fully
@@ -162,8 +166,10 @@ def build_tree(
         raise TreeStructureError(f"draft max_log_score {bound!r} is not a real number in (-inf, 0]")
     max_nodes = params.max_nodes
     ranked: list[tuple[float, int, tuple[int, ...]]] = []  # the best max_nodes, in order
+    last = None  # ranked[-1] once the list is full: the entry a child must outrank
     frontier = [(0.0, 0, ())]  # nodes to expand next, best first
     built = {(): state}  # the last state built for each path read
+    low = -math.inf  # the fast proposal check's lower bound, as a local
 
     def state_after(path: tuple[int, ...]) -> PrefixState:
         # Each read builds the state with one mix from its parent's.  A
@@ -173,7 +179,7 @@ def build_tree(
         if parent is None:
             for m in range(1, len(path)):
                 parent = built.get(path[:m]) or state_after(path[:m])
-        built[path] = state = parent.extend_many(path[-1:])
+        built[path] = state = parent._after(path[-1])  # a path holds checked ints
         return state
 
     for depth in range(1, params.max_depth + 1):
@@ -187,12 +193,11 @@ def build_tree(
             raise TreeStructureError(f"propose_many returned non-iterable {proposed!r}") from None
 
         for key in frontier:
-            # A frontier node pushed out of ``ranked`` is cut, and so are its
-            # children and every later frontier node: they all rank after it.
-            # So is one whose best possible child ranks after a full list.
-            if ranked and ranked[-1] < key:
-                break
-            if len(ranked) == max_nodes and key[0] - bound > ranked[-1][0]:
+            # Only a full list cuts.  A frontier node pushed out of it is cut,
+            # and so are its children and every later frontier node: they all
+            # rank after it.  So is one whose best possible child ranks after
+            # the last entry.
+            if last is not None and (last < key or key[0] - bound > last[0]):
                 break
             props = next(proposals, None)
             if props is None:  # fewer lists than states: the rest propose nothing
@@ -207,53 +212,75 @@ def build_tree(
             for proposal in props:
                 try:
                     token, logp = proposal
-                    # An integer token, so the models can fold it into a key.
-                    token = operator.index(token)
-                    # A real log-score, ``float`` first as for the bound.
-                    if not (type(logp) is float or isinstance(logp, numbers.Real)):
-                        raise TypeError
-                    # The ranking needs finite log-scores <= 0 (a child never
-                    # outranks its parent), within the declared bound, and
-                    # one candidate per token.
-                    score_ok = -math.inf < logp <= bound
                 except (TypeError, ValueError):
-                    raise TreeStructureError(
-                        f"draft proposal {proposal!r} is not an (int, log-score) pair"
-                    ) from None
-                if not 0 <= token < vocab_size:
-                    raise TreeStructureError(
-                        f"draft token {token} outside vocabulary [0, {vocab_size})"
-                    )
-                if not score_ok:
-                    raise TreeStructureError(
-                        f"draft log-score {logp} for token {token} is not finite and <= {bound}"
-                    )
-                if token in siblings:
-                    raise TreeStructureError(f"draft proposed token {token} twice under {path}")
+                    raise TreeStructureError(_not_a_pair(proposal)) from None
+                # An exact ``int`` token in the vocabulary with an exact
+                # ``float`` log-score in range, new among its siblings, needs
+                # no more checks; anything else takes the full ones.
+                if not (
+                    type(token) is int and type(logp) is float
+                    and 0 <= token < vocab_size and low < logp <= bound
+                ) or token in siblings:
+                    token = _checked_token(proposal, token, logp, path, siblings, vocab_size, bound)
                 siblings.add(token)
                 score = -(base + logp)
-                if len(ranked) < max_nodes:
+                if last is None:
                     bisect.insort(ranked, (score, depth, path + (token,)))
+                    if len(ranked) == max_nodes:
+                        last = ranked[-1]
                 # A full list: a child that scores worse than the last entry
                 # cannot enter, so its path and key are never built.
-                elif score <= ranked[-1][0]:
+                elif score <= last[0]:
                     child = (score, depth, path + (token,))
-                    if child < ranked[-1]:
+                    if child < last:
                         ranked.pop()
                         bisect.insort(ranked, child)
+                        last = ranked[-1]
 
         frontier = [key for key in ranked if key[1] == depth]
 
-    index_of: dict[tuple[int, ...], int] = {}
-    nodes: list[DraftNode] = []
-    for neg_cum, d, path in ranked:
-        parent = ROOT if len(path) == 1 else index_of[path[:-1]]
-        index_of[path] = len(nodes)
-        nodes.append(DraftNode(path[-1], parent, d, -neg_cum))
+    # The list is closed under parents, so every node's parent has an index.
+    index_of = {key[2]: i for i, key in enumerate(ranked)}
+    # ``tuple.__new__`` fills a node's fields by position, skipping ``DraftNode.__new__``.
+    nodes = tuple([
+        tuple.__new__(DraftNode, (path[-1], ROOT if d == 1 else index_of[path[:-1]], d, -neg))
+        for neg, d, path in ranked
+    ])
     # Checked as read, closed under parents and in budget: skip the constructor's re-check.
     tree = object.__new__(DraftTree)
-    tree.__dict__.update(nodes=tuple(nodes), params=params)
+    tree.__dict__.update(nodes=nodes, params=params)
     return tree
+
+
+def _not_a_pair(proposal: object) -> str:
+    return f"draft proposal {proposal!r} is not an (int, log-score) pair"
+
+
+def _checked_token(
+    proposal: object, token: object, logp: object, path: tuple[int, ...], siblings: set[int],
+    vocab_size: int, bound: float,
+) -> int:
+    """Every check of one proposal, in order: its token as an ``int``, or the first failure."""
+    try:
+        # An integer token, so the models can fold it into a key.
+        token = operator.index(token)
+        # A real log-score, ``float`` first as for the bound.
+        if not (type(logp) is float or isinstance(logp, numbers.Real)):
+            raise TypeError
+        # The ranking needs finite log-scores <= 0 (a child never outranks
+        # its parent), within the declared bound, and one candidate per token.
+        score_ok = -math.inf < logp <= bound
+    except (TypeError, ValueError):
+        raise TreeStructureError(_not_a_pair(proposal)) from None
+    if not 0 <= token < vocab_size:
+        raise TreeStructureError(f"draft token {token} outside vocabulary [0, {vocab_size})")
+    if not score_ok:
+        raise TreeStructureError(
+            f"draft log-score {logp} for token {token} is not finite and <= {bound}"
+        )
+    if token in siblings:
+        raise TreeStructureError(f"draft proposed token {token} twice under {path}")
+    return token
 
 
 def enumerate_paths(tree: DraftTree) -> list[list[int]]:

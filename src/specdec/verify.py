@@ -79,7 +79,8 @@ class VerifyOutcome:
     verifier token: the bonus when ``bonus_used``, else the correction at
     the first rejection.  ``reference`` carries the verifier argmax for
     every emitted position, which bounds how far the emitted step drifted
-    from the verifier's own choices.
+    from the verifier's own choices.  Both hold ``int``s, whatever integer
+    types the tree's tokens or the verifier's argmaxes were.
     """
 
     accepted: int
@@ -135,15 +136,15 @@ def verify_tree(
     # conditions.
     tip: list[int] = []
     has_child = [False] * len(nodes)
-    for i, node in enumerate(nodes):
-        parent = node.parent
+    for i, (token, parent, depth, _) in enumerate(nodes):
         if parent == ROOT:
             parent_tip = ROOT
         else:
             parent_tip = tip[parent]
             has_child[parent] = True
+        # ``int`` first: a hand-built tree's numpy token would wrap in the difference.
         extends = parent_tip == parent and (
-            abs(int(node.token) - int(argmax(parent))) <= r_at[node.depth - 1]
+            abs(int(token) - int(argmax(parent))) <= r_at[depth - 1]
         )
         tip.append(i if extends else parent_tip)
 
@@ -161,8 +162,8 @@ def verify_tree(
     j = best_tip
     while j != ROOT:
         parent = nodes[j].parent
-        kept.append(nodes[j].token)
-        refs.append(argmax(parent))
+        kept.append(int(nodes[j].token))
+        refs.append(int(argmax(parent)))
         j = parent
     next_token = int(argmax(best_tip))
     bonus_used = best_tip == best_leaf

@@ -6,6 +6,7 @@ import random
 import types
 from collections.abc import Sequence
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -392,16 +393,16 @@ class TestFrontierStates:
 
     def test_states_past_the_cut_are_never_built(self, monkeypatch):
         built = []
-        extend_many = PrefixState.extend_many
+        after = PrefixState._after
 
-        def counting(self, tokens):
-            built.append(tuple(tokens))
-            return extend_many(self, tokens)
+        def counting(self, token):
+            built.append(token)
+            return after(self, token)
 
         verifier, draft = models_for(3)
         state = PrefixState(prompt_id="lazy")
         recorder = LevelRecorder(draft)
-        monkeypatch.setattr(PrefixState, "extend_many", counting)
+        monkeypatch.setattr(PrefixState, "_after", counting)
         build_tree(state, recorder, TreeParams(), VOCAB)
         monkeypatch.undo()
         # The root level reads ``state`` itself; every later read builds one state.
@@ -543,8 +544,67 @@ class TestBadProposals:
              "decimal-score"],
     )
     def test_malformed_proposal_rejected(self, proposals):
-        with pytest.raises(TreeStructureError, match="is not an"):
+        with pytest.raises(TreeStructureError) as caught:
             build_tree(PrefixState(), FixedDraft(proposals), self.PARAMS, VOCAB)
+        expected = f"draft proposal {proposals[0]!r} is not an (int, log-score) pair"
+        assert str(caught.value) == expected
+
+    @pytest.mark.parametrize(
+        "proposals, message",
+        [
+            ([(300, -0.1)], "draft token 300 outside vocabulary [0, 256)"),
+            ([(-1, -0.1)], "draft token -1 outside vocabulary [0, 256)"),
+            ([(10, 0.5)], "draft log-score 0.5 for token 10 is not finite and <= 0.0"),
+            ([(10, -0.1), (10, -0.2)], "draft proposed token 10 twice under ()"),
+            # Checked in order: pair, vocabulary, score, duplicate.
+            ([(np.int64(300), float("nan"))], "draft token 300 outside vocabulary [0, 256)"),
+            ([(300, "x")], "draft proposal (300, 'x') is not an (int, log-score) pair"),
+            ([(10, -0.1), (10, float("nan"))],
+             "draft log-score nan for token 10 is not finite and <= 0.0"),
+            ([(10, -0.1), (np.int64(10), -0.2)], "draft proposed token 10 twice under ()"),
+            ([(np.uint8(5), np.float64(0.5))],
+             "draft log-score 0.5 for token 5 is not finite and <= 0.0"),
+            ([(True, -0.1), (1, Fraction(-1, 2))], "draft proposed token 1 twice under ()"),
+        ],
+        ids=["vocab-high", "vocab-low", "score", "duplicate", "vocab-before-score",
+             "pair-before-vocab", "score-before-duplicate", "numpy-duplicate", "numpy-score",
+             "bool-duplicate"],
+    )
+    def test_each_check_keeps_its_message_and_order(self, proposals, message):
+        with pytest.raises(TreeStructureError) as caught:
+            build_tree(PrefixState(), FixedDraft(proposals), self.PARAMS, VOCAB)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "token_type, score_type",
+        [(np.int64, float), (int, np.float64), (np.uint16, Fraction), (np.int32, np.float64)],
+        ids=["int64", "float64", "uint16-fraction", "int32-float64"],
+    )
+    def test_integer_and_real_likes_build_the_plain_tree(self, token_type, score_type):
+        class Retyped:
+            """Hands on every other proposal with its token and log-score retyped."""
+
+            def propose_many(self, states, k):
+                for props in draft.propose_many(states, k):
+                    yield [
+                        (token_type(t), score_type(lp)) if i % 2 else (t, lp)
+                        for i, (t, lp) in enumerate(props)
+                    ]
+
+        verifier, draft = models_for(17)
+        state = PrefixState(prompt_id="retyped", emitted=(4, 2))
+        tree = build_tree(state, Retyped(), TreeParams(), VOCAB)
+        assert tree == build_tree(state, draft, TreeParams(), VOCAB)
+        assert len(tree.nodes) == TreeParams().max_nodes
+        assert all(type(node.token) is int for node in tree.nodes)
+
+    def test_bool_tokens_build_the_plain_tree(self):
+        plain = [(1, -0.25), (0, -0.5)]
+        tree = build_tree(PrefixState(), FixedDraft([(True, -0.25), (False, -0.5)]), self.PARAMS,
+                          VOCAB)
+        assert tree == build_tree(PrefixState(), FixedDraft(plain), self.PARAMS, VOCAB)
+        assert len(tree.nodes) == 5
+        assert all(type(node.token) is int for node in tree.nodes)
 
     @pytest.mark.parametrize("result", [None, [5]], ids=["none-result", "int-proposals"])
     def test_non_iterable_proposals_rejected(self, result):

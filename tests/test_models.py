@@ -145,6 +145,18 @@ class TestPrefixKey:
             assert verifier.next(other) == expected
             assert verifier.next(other.extend(1)) == verifier.next(state.extend(1))
 
+    def test_a_checked_one_token_child_equals_extend(self):
+        # ``build_tree``'s level states come from ``_after``; at a long prefix
+        # it must build exactly the state ``extend`` builds.
+        parent = state_of(*(i * 37 % 256 for i in range(1000)), prompt="long")
+        for token in (0, 9, 255):
+            child, expected = parent._after(token), parent.extend(token)
+            assert type(child) is PrefixState and vars(child) == vars(expected)
+            assert child.emitted == parent.emitted + (token,)
+            assert child.key == expected.key == reference_key("long", "o", child.emitted)
+            assert child == expected and hash(child) == hash(expected)
+            assert repr(child) == repr(expected)
+
     def test_numpy_tokens_key_like_ints(self):
         # XOR of a key at or above 2**63 with a numpy int64 overflows, so
         # cover roots on both sides of it.
@@ -277,9 +289,9 @@ def verifier_round(monkeypatch):
 def frontier_states(monkeypatch):
     """The depth-2 states a draft is handed, the states they hold, and a count of the states built."""
     built = []
-    extend_many = PrefixState.extend_many
+    after = PrefixState._after
     monkeypatch.setattr(
-        PrefixState, "extend_many", lambda self, tokens: built.append(1) or extend_many(self, tokens)
+        PrefixState, "_after", lambda self, token: built.append(1) or after(self, token)
     )
     draft = make_noisy_draft(HashVerifier(seed=5), 0.5, 6.0)
     levels = []

@@ -316,6 +316,18 @@ class TestVerifyTree:
                 params=TreeParams(top_k=1, max_depth=1, max_nodes=1),
             )
 
+    def test_numpy_node_tokens_are_compared_and_emitted_as_ints(self):
+        tree = DraftTree(
+            nodes=(DraftNode(token=np.uint8(3), parent=ROOT, depth=1, cum_score=-0.1),),
+            params=TreeParams(top_k=1, max_depth=1, max_nodes=1),
+        )
+        # In uint8 arithmetic 3 - 250 wraps to 9, inside r = 9.
+        rejected = verify_tree(tree, [250, 7], AcceptancePolicy.relaxed(9))
+        assert (rejected.accepted, rejected.emitted, rejected.reference) == (0, (250,), (250,))
+        accepted = verify_tree(tree, [np.int64(5), np.int64(7)], AcceptancePolicy.relaxed(9))
+        assert (accepted.emitted, accepted.reference) == ((3, 7), (5, 7))
+        assert all(type(t) is int for t in accepted.emitted + accepted.reference)
+
     def test_fuzz_matches_enumeration_oracle(self):
         """Chosen path equals exhaustive enumerate+verify per path."""
         rng = np.random.default_rng(12)

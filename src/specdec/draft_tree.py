@@ -7,7 +7,9 @@ than ``max_nodes`` candidates: a child enters only while the list has room
 or when it outranks the list's last entry, which then drops out.  Because a
 child's cumulative score never exceeds its parent's, the list is always
 closed under parents, and the final node list doubles as a topological
-order.
+order.  Until the list fills, no cut or comparison reads its order, so the
+children are appended as they come and sorted once, when it fills or at
+the end of a level that leaves it short.
 
 A level's proposals are read one frontier node at a time, best-ranked node
 first, from the iterable ``DraftModel.propose_many`` returns.  Reading stops
@@ -154,6 +156,9 @@ def build_tree(
     any that fails it, takes every check in that order, so its error is the
     same either way.  Level states are built by ``PrefixState._after``, from
     the parent's state and the path's last token, already a checked ``int``.
+    While the ranked list has room, children are appended to it unsorted;
+    it is sorted once, when it fills or when a level ends short of full,
+    and from then on a child enters by insertion in rank order.
     """
     # Each candidate is stored as its rank key (-cum_score, depth, path): best
     # score first, then shallower, then lexicographic token path.  Fully
@@ -165,7 +170,8 @@ def build_tree(
     if not (isinstance(bound, (float, numbers.Real)) and -math.inf < bound <= 0.0):
         raise TreeStructureError(f"draft max_log_score {bound!r} is not a real number in (-inf, 0]")
     max_nodes = params.max_nodes
-    ranked: list[tuple[float, int, tuple[int, ...]]] = []  # the best max_nodes, in order
+    # The best max_nodes, in order once sorted: it takes children unsorted until it fills.
+    ranked: list[tuple[float, int, tuple[int, ...]]] = []
     last = None  # ranked[-1] once the list is full: the entry a child must outrank
     frontier = [(0.0, 0, ())]  # nodes to expand next, best first
     built = {(): state}  # the last state built for each path read
@@ -225,8 +231,9 @@ def build_tree(
                 siblings.add(token)
                 score = -(base + logp)
                 if last is None:
-                    bisect.insort(ranked, (score, depth, path + (token,)))
+                    ranked.append((score, depth, path + (token,)))
                     if len(ranked) == max_nodes:
+                        ranked.sort()
                         last = ranked[-1]
                 # A full list: a child that scores worse than the last entry
                 # cannot enter, so its path and key are never built.
@@ -237,6 +244,8 @@ def build_tree(
                         bisect.insort(ranked, child)
                         last = ranked[-1]
 
+        if last is None:  # never filled: sort what the level appended
+            ranked.sort()
         frontier = [key for key in ranked if key[1] == depth]
 
     # The list is closed under parents, so every node's parent has an index.

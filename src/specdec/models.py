@@ -39,6 +39,8 @@ MAX_VOCAB_SIZE = 65535
 
 _MASK64 = (1 << 64) - 1
 
+_token_of = operator.itemgetter(0)  # a ``DraftNode``'s token
+
 
 def _mix(x: int) -> int:
     """One splitmix64 step on ``x``: a bijection of 64-bit integers that spreads every bit."""
@@ -269,20 +271,29 @@ class HashVerifier:
         return self._memo(state.key)
 
     def batch(self, state: PrefixState, tree: DraftTree) -> TreeDistributions:
-        # Every token is checked now; a key is folded only when it is read.
-        tokens = []
-        for i, node in enumerate(tree.nodes):
-            token = operator.index(node.token)
-            if token >= self.vocab_size:
-                from .draft_tree import TreeStructureError
-                raise TreeStructureError(
-                    f"node {i} token {token} is outside vocabulary [0, {self.vocab_size})"
-                )
-            tokens.append(token)
-        keys = [state.key] + [None] * len(tokens)
-        return TreeDistributions(partial(self._read, keys, tree.nodes, tokens), range(len(keys)))
+        """One round over ``tree``, as the ``Verifier`` protocol describes.
 
-    def _read(self, keys: list, nodes: Sequence, tokens: list[int], i: int) -> int:
+        Every node token is checked now, by one ``max`` over the tokens; a
+        scan that names the first node outside the vocabulary runs only
+        when that check fails.  A node's key is folded from its parent's,
+        and its item drawn, only when the item is read.
+        """
+        nodes = tree.nodes
+        try:
+            in_vocab = max(map(_token_of, nodes), default=0) < self.vocab_size
+        except TypeError:  # integer-likes that do not order: the scan indexes each
+            in_vocab = False
+        if not in_vocab:
+            for i, node in enumerate(nodes):
+                if (token := operator.index(node.token)) >= self.vocab_size:
+                    from .draft_tree import TreeStructureError
+                    raise TreeStructureError(
+                        f"node {i} token {token} is outside vocabulary [0, {self.vocab_size})"
+                    )
+        keys = [state.key] + [None] * len(nodes)
+        return TreeDistributions(partial(self._read, keys, nodes), range(len(keys)))
+
+    def _read(self, keys: list, nodes: Sequence, i: int) -> int:
         # Node j's key is keys[j + 1], a ROOT (-1) parent's is keys[0], and
         # None marks one not folded yet: walk up to a folded key, then fold
         # each key on the way back down from its parent's.
@@ -292,7 +303,7 @@ class HashVerifier:
             i = nodes[i - 1].parent + 1
         key = keys[i]
         for j in reversed(unfolded):
-            key = keys[j] = _mix(key ^ tokens[j - 1])
+            key = keys[j] = _mix(key ^ operator.index(nodes[j - 1].token))
         return self._memo(key)
 
 
@@ -348,6 +359,13 @@ class NoisyDraft:
     largest where the vocabulary edge cuts the kernel, so the bound is the
     top log-score at center 0 or V - 1, whatever ``k``.  ``seed`` must be
     an integer (``operator.index``); anything else is a ``TypeError``.
+
+    ``propose_many`` checks ``k`` when it is called and returns one
+    generator, which binds the verifier's ``next``, the ranking cache, both
+    salts, the CDF and the offsets once.  It reads the states in order:
+    for each, the verifier argmax, then the agreement draw, then the
+    displacement draw only when the two disagree, and it hands out a fresh
+    list of the cached ranking.
     """
 
     def __init__(
@@ -365,7 +383,7 @@ class NoisyDraft:
         self.noise_sigma = float(noise_sigma)
         self.seed = operator.index(seed)
         offsets, probs = displacement_pmf(self.noise_sigma, self.vocab_size)
-        # Plain lists: ``_center`` reads one entry per query, and numpy's
+        # Plain lists: a read takes one entry of each per state, and numpy's
         # scalar dispatch would cost more than the lookup.
         self._offsets = offsets.tolist()
         self._cdf = np.cumsum(probs).tolist()
@@ -375,23 +393,28 @@ class NoisyDraft:
         self._ranked = cache(partial(_ranked, self.vocab_size))
         self.max_log_score = max(self._ranked(c, 1)[0][1] for c in (0, self.vocab_size - 1))
 
-    def _center(self, state: PrefixState) -> int:
-        """Top-1 proposal for this prefix: verifier argmax, possibly displaced."""
-        target = self.verifier.next(state)
-        # Each uniform in [0, 1) is the prefix key mixed with its stream's salt.
-        if _mix(state.key ^ self._agree) / 2.0**64 < self.agreement_p:
-            return target
-        u = _mix(state.key ^ self._displace) / 2.0**64
-        idx = min(bisect_right(self._cdf, u), len(self._offsets) - 1)
-        return min(max(target + self._offsets[idx], 0), self.vocab_size - 1)
-
     def propose_many(
         self, states: Sequence[PrefixState], k: int
     ) -> Iterator[list[tuple[int, float]]]:
         if not 1 <= k <= self.vocab_size:
             raise ValueError(f"k must be in [1, {self.vocab_size}], got {k}")
-        # Lazy, so a state the tree builder never reads is never scored.
-        return (list(self._ranked(self._center(state), k)) for state in states)
+        return self._proposals(states, k)
+
+    def _proposals(
+        self, states: Iterable[PrefixState], k: int
+    ) -> Iterator[list[tuple[int, float]]]:
+        # Lazy, so a state the tree builder never reads is never scored.  Each
+        # uniform in [0, 1) is the prefix key mixed with its stream's salt.
+        argmax, ranked, p = self.verifier.next, self._ranked, self.agreement_p
+        agree, displace, cdf, offsets = self._agree, self._displace, self._cdf, self._offsets
+        last, top = len(offsets) - 1, self.vocab_size - 1
+        for state in states:
+            center = argmax(state)
+            if _mix(state.key ^ agree) / 2.0**64 >= p:
+                u = _mix(state.key ^ displace) / 2.0**64
+                center = min(max(center + offsets[min(bisect_right(cdf, u), last)], 0), top)
+            # A fresh list each time: the ranking is cached, and callers may mutate theirs.
+            yield list(ranked(center, k))
 
 
 # The draft constructor's older name, which ``bench/run.py`` still calls.

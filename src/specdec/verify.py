@@ -117,17 +117,13 @@ def verify_tree(
         raise TreeStructureError(
             f"expected {len(nodes) + 1} verifier argmaxes, got {len(verified)}"
         )
-    read: dict[int, int] = {}
     # Each depth's threshold for this step, resolved once; node depths run
     # from 1 to max_depth and never past the node count.
     depths = range(min(tree.params.max_depth, len(nodes)))
     r_at = [policy.effective_r((start_position + d) % CHUNK_SIZE) for d in depths]
-
-    def argmax(j: int) -> int:
-        """The argmax after node ``j`` (ROOT: the committed prefix), looked up once."""
-        if j not in read:
-            read[j] = verified[j + 1]
-        return read[j]
+    # The argmaxes read so far, as ``int``s: position j + 1 after node j, 0
+    # (ROOT + 1) after the committed prefix, None while unread.
+    argmax: list[int | None] = [None] * (len(nodes) + 1)
 
     # One parents-first pass: ``tip[i]`` is the deepest node of the accepted
     # prefix on node i's root path (ROOT when none is accepted).  A node
@@ -142,11 +138,14 @@ def verify_tree(
         else:
             parent_tip = tip[parent]
             has_child[parent] = True
-        # ``int`` first: a hand-built tree's numpy token would wrap in the difference.
-        extends = parent_tip == parent and (
-            abs(int(token) - int(argmax(parent))) <= r_at[depth - 1]
-        )
-        tip.append(i if extends else parent_tip)
+        if parent_tip == parent:
+            target = argmax[parent + 1]
+            if target is None:
+                target = argmax[parent + 1] = int(verified[parent + 1])
+            # ``int`` first: a hand-built tree's numpy token would wrap in the difference.
+            if abs(int(token) - target) <= r_at[depth - 1]:
+                parent_tip = i
+        tip.append(parent_tip)
 
     # Leaves in node order are the paths in enumeration order; the first
     # leaf with the deepest accepted prefix wins.
@@ -157,15 +156,19 @@ def verify_tree(
         if index == 0 or accepted > best_accepted:
             best_index, best_leaf, best_tip, best_accepted = index, leaf, tip[leaf], accepted
 
+    # Every node on the accepted prefix was tested against its parent's
+    # argmax, so only the tip's own can still be unread.
     kept: list[int] = []
     refs: list[int] = []
     j = best_tip
     while j != ROOT:
         parent = nodes[j].parent
         kept.append(int(nodes[j].token))
-        refs.append(int(argmax(parent)))
+        refs.append(argmax[parent + 1])
         j = parent
-    next_token = int(argmax(best_tip))
+    next_token = argmax[best_tip + 1]
+    if next_token is None:
+        next_token = int(verified[best_tip + 1])
     bonus_used = best_tip == best_leaf
     return VerifyOutcome(
         accepted=best_accepted,
@@ -219,5 +222,5 @@ def decode_episode(
         outcome = verify_tree(tree, verified, policy, st.position)
         outcomes.append(outcome)
         tokens.extend(outcome.emitted)
-        st = st.extend_many(outcome.emitted)
+        st = st._child(outcome.emitted)  # ``verify_tree`` emits ``int``s
     return tuple(tokens[:length]), outcomes

@@ -7,7 +7,7 @@ the implementation instead of echoing it.
 
 import numpy as np
 
-from specdec.action_space import bin_distance
+from specdec.action_space import CHUNK_SIZE, bin_distance
 from specdec.draft_tree import ROOT, DraftNode, DraftTree, TreeParams, build_tree
 from specdec.models import NoisyDraft, PrefixState
 
@@ -198,10 +198,10 @@ def _center_offset_pmf(agreement_p: float, noise_sigma: float, vocab_size: int) 
     return pmf
 
 
-def tree_expected_tokens_per_pass(
+def tree_acceptance_tail(
     agreement_p: float, noise_sigma: float, vocab_size: int, r: int, params: TreeParams
-) -> float:
-    """Exact tokens/pass of the synthetic pair's draft tree, away from the edges.
+) -> np.ndarray:
+    """P(accepted >= m), m = 0..max_depth, on the synthetic pair's tree, away from the edges.
 
     A draft's proposals depend only on its center, so the tree's shape, as
     offsets from each parent's center, is the one built once with the
@@ -235,4 +235,44 @@ def tree_expected_tokens_per_pass(
                 deeper = np.array([at_least[c][m - 1] for c in kids])[:, None]
                 probs[m] = 1.0 - pmf @ np.prod(1.0 - accepts * deeper, axis=0)
         at_least[n] = probs
-    return 1.0 + float(at_least[ROOT][1:].sum())
+    return at_least[ROOT]
+
+
+def tree_expected_tokens_per_pass(
+    agreement_p: float, noise_sigma: float, vocab_size: int, r: int, params: TreeParams
+) -> float:
+    """Exact tokens/pass of the synthetic pair's draft tree: 1 + the sum of
+    :func:`tree_acceptance_tail` over m >= 1."""
+    tail = tree_acceptance_tail(agreement_p, noise_sigma, vocab_size, r, params)
+    return 1.0 + float(tail[1:].sum())
+
+
+def frame_expected(
+    agreement_p: float, noise_sigma: float, vocab_size: int, r: int, params: TreeParams,
+    frame: int = CHUNK_SIZE,
+) -> tuple[float, float]:
+    """``(tokens per pass, draft rounds per pass)`` when each ``frame``-token
+    action is decoded on its own, as one observation per control step.
+
+    A step with ``left`` tokens left in its frame caps its tree's depth at
+    ``left - 1``, so it never emits past the frame; with one token left the
+    tree is empty and the step is one AR step with no draft round.  A
+    capped step issues one draft round per level.  The frame is a Markov
+    chain over the tokens committed, 0 to ``frame``: a step at ``c``
+    commits 1 + A tokens, with A's law read off the capped tree's
+    :func:`tree_acceptance_tail`.  Both figures are expectations over a
+    frame divided by its expected step count.
+    """
+    steps = [0.0] * (frame + 1)  # expected steps to finish from c tokens committed
+    rounds = [0.0] * (frame + 1)  # expected draft rounds, likewise
+    for c in reversed(range(frame)):
+        depth = min(params.max_depth, frame - c - 1)
+        accepted = np.array([1.0])  # P(A = m), m = 0..depth
+        if depth:
+            capped = TreeParams(params.top_k, depth, params.max_nodes)
+            tail = tree_acceptance_tail(agreement_p, noise_sigma, vocab_size, r, capped)
+            accepted = tail - np.append(tail[1:], 0.0)
+        nexts = range(c + 1, c + 2 + depth)
+        steps[c] = 1.0 + sum(p * steps[n] for p, n in zip(accepted, nexts))
+        rounds[c] = depth + sum(p * rounds[n] for p, n in zip(accepted, nexts))
+    return float(frame / steps[0]), float(rounds[0] / steps[0])

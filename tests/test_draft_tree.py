@@ -177,13 +177,13 @@ class TestBuildTree:
 
     def test_matches_exhaustive_rerank_oracle(self):
         def check(state, draft, params):
-            tree = build_tree(state, draft, params, VOCAB)
-            tree.validate()
+            tree = rebuilt(build_tree(state, draft, params, VOCAB))
             kept = exhaustive_rerank_oracle(state, draft, params)
             built = {token_path(tree, i): tree.nodes[i].cum_score for i in range(len(tree.nodes))}
             assert set(built) == set(kept)
             for path, cum in built.items():
                 assert cum == pytest.approx(kept[path], rel=1e-12)
+            return tree
 
         def random_params():
             return TreeParams(
@@ -208,6 +208,19 @@ class TestBuildTree:
         # Ties everywhere: children as good as their parents, equal siblings.
         for trial in range(200):
             check(PrefixState(prompt_id=f"tie{trial}"), TiedDraft(trial), random_params())
+        # The ranking appends children while the list has room and sorts
+        # once, when it fills or when a level ends short of full.  Each
+        # draft here proposes exactly top_k, so the fill point is known.
+        fills = [
+            (TreeParams(top_k=2, max_depth=3, max_nodes=50), 2 + 4 + 8),  # never fills
+            (TreeParams(top_k=2, max_depth=3, max_nodes=6), 2 + 4),  # on level 2's last child
+            (TreeParams(top_k=3, max_depth=3, max_nodes=7), 7),  # on level 2's 4th of 9
+        ]
+        for params, size in fills:
+            for seed in range(8):
+                state = PrefixState(prompt_id=f"fill{seed}")
+                for draft in (models_for(seed)[1], TiedDraft(seed)):
+                    assert len(check(state, draft, params).nodes) == size
 
     def test_eager_drafts_match_oracle_at_every_budget(self):
         # Eager lists for cut frontier nodes go unread; the tree must not change.

@@ -21,7 +21,12 @@ from specdec.models import PrefixState
 from specdec.report import aggregate, render_json, validate_report
 from specdec.verify import AcceptancePolicy, VerifyOutcome, decode_episode
 
-from helpers import chain_expected_accepted, chain_q, tree_expected_tokens_per_pass
+from helpers import (
+    chain_expected_accepted,
+    chain_q,
+    frame_expected,
+    tree_expected_tokens_per_pass,
+)
 
 
 def small_config(**kwargs) -> RunConfig:
@@ -99,6 +104,31 @@ class TestRunBatch:
             assert abs(measured - expected) <= 4.0 * stderr, (
                 f"r={r}: measured {measured:.4f} +- {stderr:.4f} vs oracle {expected:.4f}"
             )
+
+    def test_per_frame_oracle_figures(self):
+        # Each 7-token action decoded on its own, as the paper does, with
+        # each step's depth capped at the tokens left in its frame.  These
+        # are the README's per-frame figures: a property of the synthetic
+        # pair at the default tree and 20 ms / 1 ms, not a measurement.
+        # A two-token frame under a one-node chain checks the chain itself:
+        # one drafted step, then one AR step unless the draft was accepted.
+        q = chain_q(0.5, 6.0, 256, 9)
+        chain = TreeParams(top_k=1, max_depth=1, max_nodes=1)
+        assert frame_expected(0.5, 6.0, 256, 9, chain, frame=2) == pytest.approx(
+            (2.0 / (2.0 - q), 1.0 / (2.0 - q)), abs=1e-12
+        )
+        cost = CostModel(verify_latency=0.020, draft_latency=0.001)
+        pinned = {  # r: (tokens per pass, draft rounds per pass, analytic speedup)
+            0: (2.07996, 2.81160, 1.82360),
+            3: (2.99858, 2.62717, 2.65042),
+            9: (3.42529, 2.50562, 3.04394),
+        }
+        for r, (tokens, rounds, speedup) in pinned.items():
+            got = frame_expected(0.5, 6.0, 256, r, TreeParams())
+            assert got == pytest.approx((tokens, rounds), abs=1e-5)
+            assert analytic_speedup(cost, rounds, tokens) == pytest.approx(speedup, abs=1e-5)
+            # Capping depth at the frame's end always costs tokens per pass.
+            assert tokens < tree_expected_tokens_per_pass(0.5, 6.0, 256, r, TreeParams())
 
     def test_invalid_config_raises_descriptive_error(self):
         from specdec.config import ConfigValueError

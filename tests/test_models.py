@@ -351,15 +351,29 @@ class TestVerifierBatch:
         v = HashVerifier(seed=5)
         state = state_of(7)
         tree = build_tree(state, make_noisy_draft(v, 0.5, 6.0), TreeParams(), v.vocab_size)
-        last = max(i for i, node in enumerate(tree.nodes) if node.depth == 4)
-        nodes = list(tree.nodes)
-        nodes[last] = nodes[last]._replace(token=v.vocab_size)
-        bad = dataclasses.replace(tree, nodes=tuple(nodes))
-        draws.clear()
-        # Every token is checked when the round is made, read or not.
-        with pytest.raises(TreeStructureError, match="outside vocabulary"):
-            HashVerifier(seed=5).batch(state, bad)
-        assert draws == []
+        deepest = [i for i, node in enumerate(tree.nodes) if node.depth == 4]
+        first, last = deepest[0], deepest[-1]
+        assert first < last
+        cases = [
+            ({last: v.vocab_size}, last),
+            # Two outside the vocabulary: the lower index is named, even when
+            # the other holds the larger token, and whichever is numpy.
+            ({first: np.int64(257), last: 1000}, first),
+            ({first: 256, last: np.int64(300)}, first),
+        ]
+        for bad, named in cases:
+            nodes = list(tree.nodes)
+            for i, token in bad.items():
+                nodes[i] = nodes[i]._replace(token=token)
+            bad_tree = dataclasses.replace(tree, nodes=tuple(nodes))
+            draws.clear()
+            # Every token is checked when the round is made, read or not.
+            with pytest.raises(TreeStructureError) as raised:
+                HashVerifier(seed=5).batch(state, bad_tree)
+            assert str(raised.value) == (
+                f"node {named} token {bad[named]} is outside vocabulary [0, 256)"
+            )
+            assert draws == []
 
     def test_single_node_tree_matches_next(self, monkeypatch):
         v = HashVerifier(seed=2)
@@ -408,17 +422,29 @@ class TestVerifierBatch:
         assert len(draws) == len(result)
 
     def test_numpy_node_tokens_score_like_ints(self):
+        class Index:
+            """An integer-like that only indexes: its values have no order."""
+
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
         rng = np.random.default_rng(5)
         tree = random_tree(rng, max_nodes=20)
-        as_numpy = dataclasses.replace(
-            tree,
-            nodes=tuple(n._replace(token=np.int64(n.token)) for n in tree.nodes),
-        )
+        retyped = [
+            dataclasses.replace(
+                tree, nodes=tuple(n._replace(token=kind(n.token)) for n in tree.nodes)
+            )
+            for kind in (np.int64, Index)
+        ]
         v = HashVerifier(seed=3)
         for prompt in ("a", "b", "c", "d"):
             state = state_of(1, 2, prompt=prompt)
             expected = [d.argmax for d in v.batch(state, tree).nodes]
-            assert [d.argmax for d in v.batch(state, as_numpy).nodes] == expected
+            for other in retyped:
+                assert [d.argmax for d in v.batch(state, other).nodes] == expected
 
     def test_max_budget_tree_yields_one_distribution_per_node(self):
         v = HashVerifier(seed=1)
@@ -524,9 +550,7 @@ class TestVerifierMemo:
                 self.logs.append(ReadLog(self.inner.batch(s, t)))
                 return self.logs[-1]
 
-        seeds = []
-        pcg64 = np.random.PCG64
-        monkeypatch.setattr(np.random, "PCG64", lambda seed: seeds.append(seed) or pcg64(seed))
+        draws = record_draws(monkeypatch)
         inner = HashVerifier(seed=4)
         verifier = Logging(inner)
         draft = make_noisy_draft(inner, 0.5, 6.0)
@@ -536,8 +560,9 @@ class TestVerifierMemo:
         prefixes = {state.emitted, *recording.prefixes}
         prefixes.update(state.emitted + token_path(tree, i - 1) for i in verifier.logs[0].read if i)
         expected = {stream_key(state_of(*p), b"verifier", 4) for p in prefixes}
-        assert len(seeds) == len(set(seeds)) == len(prefixes) < len(tree_prefixes)
-        assert set(seeds) == expected
+        keys = [key for key, _ in draws]
+        assert len(keys) == len(set(keys)) == len(prefixes) < len(tree_prefixes)
+        assert set(keys) == expected
 
     def test_a_step_draws_no_depth_four_leaf_but_the_chosen_tip(self, monkeypatch):
         draws = record_draws(monkeypatch)

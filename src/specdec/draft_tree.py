@@ -7,9 +7,7 @@ than ``max_nodes`` candidates: a child enters only while the list has room
 or when it outranks the list's last entry, which then drops out.  Because a
 child's cumulative score never exceeds its parent's, the list is always
 closed under parents, and the final node list doubles as a topological
-order.  Until the list fills, no cut or comparison reads its order, so the
-children are appended as they come and sorted once, when it fills or at
-the end of a level that leaves it short.
+order.
 
 A level's proposals are read one frontier node at a time, best-ranked node
 first, from the iterable ``DraftModel.propose_many`` returns.  Reading stops
@@ -35,7 +33,9 @@ Each input is checked once.  ``build_tree`` checks every proposal as it
 reads it, and its ranking keeps the tree within budget and closed under
 parents, so it returns its tree without the constructor's check.  A tree
 built by hand, through ``DraftTree(...)`` or ``dataclasses.replace``,
-checks itself when it is constructed.
+checks itself when it is constructed and stores each node's token, parent
+and depth as an ``int``, so every tree holds ints and nothing downstream
+converts them.
 """
 
 from __future__ import annotations
@@ -104,19 +104,22 @@ class DraftTree:
 
     def __post_init__(self) -> None:
         # A hand-built tree's check; the dataclass is frozen, so a tree stays well formed.
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        self.validate()
+        object.__setattr__(self, "nodes", self._checked_nodes())
 
     def validate(self) -> None:
         """Raise ``TreeStructureError`` unless the tree is well formed; node
         tokens must be integers >= 0, and parents and depths integers."""
-        if len(self.nodes) > self.params.max_nodes:
-            raise TreeStructureError(
-                f"{len(self.nodes)} nodes exceed budget {self.params.max_nodes}"
-            )
+        self._checked_nodes()
+
+    def _checked_nodes(self) -> tuple[DraftNode, ...]:
+        # ``validate``'s check, returning the nodes with ``int`` token, parent and depth.
+        nodes = tuple(self.nodes)
+        if len(nodes) > self.params.max_nodes:
+            raise TreeStructureError(f"{len(nodes)} nodes exceed budget {self.params.max_nodes}")
         # Parents come first, so a repeated root path is a repeated (parent, token).
         seen: set[tuple[int, int]] = set()
-        for i, node in enumerate(self.nodes):
+        checked: list[DraftNode] = []
+        for i, node in enumerate(nodes):
             try:
                 token = operator.index(node.token)
             except TypeError:
@@ -131,7 +134,7 @@ class DraftTree:
                 ) from None
             if parent != ROOT and not 0 <= parent < i:
                 raise TreeStructureError(f"node {i} has dangling or out-of-order parent {parent}")
-            expected_depth = 1 if parent == ROOT else self.nodes[parent].depth + 1
+            expected_depth = 1 if parent == ROOT else checked[parent].depth + 1
             if depth != expected_depth:
                 raise TreeStructureError(f"node {i} depth {depth} != {expected_depth}")
             if depth > self.params.max_depth:
@@ -139,6 +142,8 @@ class DraftTree:
             if (parent, token) in seen:
                 raise TreeStructureError(f"node {i} repeats a sibling's token {token}")
             seen.add((parent, token))
+            checked.append(DraftNode(token, parent, depth, node.cum_score))
+        return tuple(checked)
 
 
 def build_tree(
@@ -154,11 +159,8 @@ def build_tree(
     that bound, or whose token repeats a sibling's.  A proposal of an exact
     ``int`` and an exact ``float`` passes one combined test; any other, and
     any that fails it, takes every check in that order, so its error is the
-    same either way.  Level states are built by ``PrefixState._after``, from
-    the parent's state and the path's last token, already a checked ``int``.
-    While the ranked list has room, children are appended to it unsorted;
-    it is sorted once, when it fills or when a level ends short of full,
-    and from then on a child enters by insertion in rank order.
+    same either way.  Each level state is its parent's state extended by
+    the path's last token.
     """
     # Each candidate is stored as its rank key (-cum_score, depth, path): best
     # score first, then shallower, then lexicographic token path.  Fully
@@ -170,7 +172,7 @@ def build_tree(
     if not (isinstance(bound, (float, numbers.Real)) and -math.inf < bound <= 0.0):
         raise TreeStructureError(f"draft max_log_score {bound!r} is not a real number in (-inf, 0]")
     max_nodes = params.max_nodes
-    # The best max_nodes, in order once sorted: it takes children unsorted until it fills.
+    # The best max_nodes so far, in rank order.
     ranked: list[tuple[float, int, tuple[int, ...]]] = []
     last = None  # ranked[-1] once the list is full: the entry a child must outrank
     frontier = [(0.0, 0, ())]  # nodes to expand next, best first
@@ -185,7 +187,7 @@ def build_tree(
         if parent is None:
             for m in range(1, len(path)):
                 parent = built.get(path[:m]) or state_after(path[:m])
-        built[path] = state = parent._after(path[-1])  # a path holds checked ints
+        built[path] = state = parent.extend(path[-1])
         return state
 
     for depth in range(1, params.max_depth + 1):
@@ -231,9 +233,8 @@ def build_tree(
                 siblings.add(token)
                 score = -(base + logp)
                 if last is None:
-                    ranked.append((score, depth, path + (token,)))
+                    bisect.insort(ranked, (score, depth, path + (token,)))
                     if len(ranked) == max_nodes:
-                        ranked.sort()
                         last = ranked[-1]
                 # A full list: a child that scores worse than the last entry
                 # cannot enter, so its path and key are never built.
@@ -244,8 +245,6 @@ def build_tree(
                         bisect.insort(ranked, child)
                         last = ranked[-1]
 
-        if last is None:  # never filled: sort what the level appended
-            ranked.sort()
         frontier = [key for key in ranked if key[1] == depth]
 
     # The list is closed under parents, so every node's parent has an index.

@@ -80,9 +80,6 @@ class PrefixState:
     equality, hashing and ``repr`` ignore it, and copies keep it.  Tokens
     must be integers (``operator.index``); anything else is a ``TypeError``.
     ``emitted`` is stored as a tuple of ``int``, whatever sequence it came as.
-    ``build_tree`` builds its level states with the private ``_after``,
-    which takes one token already checked to be an ``int`` and builds the
-    same state as ``extend`` with one field copy and one mix.
     """
 
     prompt_id: str = "p0"
@@ -99,14 +96,9 @@ class PrefixState:
     def position(self) -> int:
         return len(self.emitted)
 
+    # Both build the child without ``__init__``, so the parent's fold is not redone.
     def extend(self, token: int) -> PrefixState:
-        return self._child((operator.index(token),))
-
-    def extend_many(self, tokens: Sequence[int]) -> PrefixState:
-        return self._child(tuple(map(operator.index, tokens)))
-
-    def _after(self, token: int) -> PrefixState:
-        # ``extend(token)`` for a checked ``int``: no index call and no fold loop.
+        token = operator.index(token)
         child = object.__new__(PrefixState)
         child.__dict__.update(
             prompt_id=self.prompt_id,
@@ -116,8 +108,8 @@ class PrefixState:
         )
         return child
 
-    def _child(self, tokens: tuple[int, ...]) -> PrefixState:
-        # Built without ``__init__``, so the parent's fold is not redone.
+    def extend_many(self, tokens: Sequence[int]) -> PrefixState:
+        tokens = tuple(map(operator.index, tokens))
         child = object.__new__(PrefixState)
         child.__dict__.update(
             prompt_id=self.prompt_id,
@@ -167,7 +159,7 @@ class TreeDistributions(_Lazy):
     Item 0 is the argmax after the committed prefix and item ``i + 1`` the
     argmax after node *i*'s root path, all from one batched round, matching
     a single tree-attention forward pass.  The round holds the committed
-    prefix's key and each node's checked token.  When an item is first
+    prefix's key and each node's token.  When an item is first
     read, its prefix key is folded from its parent's, which is folded first
     if it was never read, and kept for the round; the item is drawn then.
     """
@@ -274,22 +266,17 @@ class HashVerifier:
         """One round over ``tree``, as the ``Verifier`` protocol describes.
 
         Every node token is checked now, by one ``max`` over the tokens; a
-        scan that names the first node outside the vocabulary runs only
+        search that names the first node outside the vocabulary runs only
         when that check fails.  A node's key is folded from its parent's,
         and its item drawn, only when the item is read.
         """
         nodes = tree.nodes
-        try:
-            in_vocab = max(map(_token_of, nodes), default=0) < self.vocab_size
-        except TypeError:  # integer-likes that do not order: the scan indexes each
-            in_vocab = False
-        if not in_vocab:
-            for i, node in enumerate(nodes):
-                if (token := operator.index(node.token)) >= self.vocab_size:
-                    from .draft_tree import TreeStructureError
-                    raise TreeStructureError(
-                        f"node {i} token {token} is outside vocabulary [0, {self.vocab_size})"
-                    )
+        if max(map(_token_of, nodes), default=0) >= self.vocab_size:
+            i = next(i for i, node in enumerate(nodes) if node.token >= self.vocab_size)
+            from .draft_tree import TreeStructureError
+            raise TreeStructureError(
+                f"node {i} token {nodes[i].token} is outside vocabulary [0, {self.vocab_size})"
+            )
         keys = [state.key] + [None] * len(nodes)
         return TreeDistributions(partial(self._read, keys, nodes), range(len(keys)))
 
@@ -303,7 +290,7 @@ class HashVerifier:
             i = nodes[i - 1].parent + 1
         key = keys[i]
         for j in reversed(unfolded):
-            key = keys[j] = _mix(key ^ operator.index(nodes[j - 1].token))
+            key = keys[j] = _mix(key ^ nodes[j - 1].token)
         return self._memo(key)
 
 

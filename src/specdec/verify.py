@@ -80,7 +80,7 @@ class VerifyOutcome:
     the first rejection.  ``reference`` carries the verifier argmax for
     every emitted position, which bounds how far the emitted step drifted
     from the verifier's own choices.  Both hold ``int``s, whatever integer
-    types the tree's tokens or the verifier's argmaxes were.
+    type the verifier's argmaxes were.
     """
 
     accepted: int
@@ -142,8 +142,7 @@ def verify_tree(
             target = argmax[parent + 1]
             if target is None:
                 target = argmax[parent + 1] = int(verified[parent + 1])
-            # ``int`` first: a hand-built tree's numpy token would wrap in the difference.
-            if abs(int(token) - target) <= r_at[depth - 1]:
+            if abs(token - target) <= r_at[depth - 1]:
                 parent_tip = i
         tip.append(parent_tip)
 
@@ -163,7 +162,7 @@ def verify_tree(
     j = best_tip
     while j != ROOT:
         parent = nodes[j].parent
-        kept.append(int(nodes[j].token))
+        kept.append(nodes[j].token)
         refs.append(argmax[parent + 1])
         j = parent
     next_token = argmax[best_tip + 1]
@@ -183,13 +182,10 @@ def ar_decode(state: PrefixState, verifier: Verifier, length: int) -> tuple[int,
     """Plain greedy decoding: one verifier query per emitted token."""
     if (length := operator.index(length)) < 1:
         raise ValueError("length must be >= 1")
-    tokens: list[int] = []
     st = state
     for _ in range(length):
-        token = verifier.next(st)
-        tokens.append(token)
-        st = st.extend(token)
-    return tuple(tokens)
+        st = st.extend(verifier.next(st))
+    return st.emitted[state.position:]
 
 
 def decode_episode(
@@ -203,8 +199,9 @@ def decode_episode(
     """Run the draft/verify loop until ``length`` tokens are committed.
 
     Each step builds a draft tree, verifies it in one batched round, and
-    appends the step's emitted tokens.  The token sequence is truncated to
-    exactly ``length``; the outcome list keeps every full verification step.
+    commits the step's emitted tokens.  The tokens committed past ``state``
+    are returned truncated to exactly ``length``; the outcome list keeps
+    every full verification step.
     With a strict policy the output is token-identical to :func:`ar_decode`.
     Raises :class:`TreeStructureError` when the draft proposes a token
     outside the verifier's vocabulary.
@@ -212,15 +209,14 @@ def decode_episode(
     # ``operator.index``: a fractional length raises before any decoding.
     if (length := operator.index(length)) < 1:
         raise ValueError("length must be >= 1")
-    tokens: list[int] = []
     outcomes: list[VerifyOutcome] = []
     st = state
+    end = state.position + length
     vocab_size = verifier.vocab_size
-    while len(tokens) < length:
+    while st.position < end:
         tree = build_tree(st, draft, params, vocab_size)
         verified = verifier.batch(st, tree)
         outcome = verify_tree(tree, verified, policy, st.position)
         outcomes.append(outcome)
-        tokens.extend(outcome.emitted)
-        st = st._child(outcome.emitted)  # ``verify_tree`` emits ``int``s
-    return tuple(tokens[:length]), outcomes
+        st = st.extend_many(outcome.emitted)
+    return st.emitted[state.position:end], outcomes

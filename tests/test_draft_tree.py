@@ -406,16 +406,16 @@ class TestFrontierStates:
 
     def test_states_past_the_cut_are_never_built(self, monkeypatch):
         built = []
-        after = PrefixState._after
+        extend = PrefixState.extend
 
         def counting(self, token):
             built.append(token)
-            return after(self, token)
+            return extend(self, token)
 
         verifier, draft = models_for(3)
         state = PrefixState(prompt_id="lazy")
         recorder = LevelRecorder(draft)
-        monkeypatch.setattr(PrefixState, "_after", counting)
+        monkeypatch.setattr(PrefixState, "extend", counting)
         build_tree(state, recorder, TreeParams(), VOCAB)
         monkeypatch.undo()
         # The root level reads ``state`` itself; every later read builds one state.
@@ -710,11 +710,29 @@ class TestValidate:
         assert dataclasses.replace(tree, nodes=list(tree.nodes)).nodes == tree.nodes
 
     def test_integer_like_node_tokens_accepted(self):
-        nodes = (
+        # Numpy and ``bool`` tokens, parents and depths are stored as ``int``s,
+        # whether the tree is constructed or copied by ``dataclasses.replace``.
+        params = TreeParams(top_k=2, max_depth=3, max_nodes=50)
+        plain = (
             DraftNode(token=0, parent=ROOT, depth=1, cum_score=-0.1),
-            DraftNode(token=np.int64(255), parent=0, depth=2, cum_score=-0.2),
+            DraftNode(token=255, parent=0, depth=2, cum_score=-0.2),
+            DraftNode(token=1, parent=ROOT, depth=1, cum_score=-0.3),
+            DraftNode(token=7, parent=1, depth=3, cum_score=-0.4),
         )
-        DraftTree(nodes=nodes, params=TreeParams(top_k=2, max_depth=2, max_nodes=50)).validate()
+        integer_like = (
+            DraftNode(token=np.uint8(0), parent=np.int64(ROOT), depth=True, cum_score=-0.1),
+            DraftNode(token=np.int64(255), parent=False, depth=np.int32(2), cum_score=-0.2),
+            DraftNode(token=True, parent=np.int8(ROOT), depth=np.uint64(1), cum_score=-0.3),
+            DraftNode(token=np.int16(7), parent=True, depth=np.int64(3), cum_score=-0.4),
+        )
+        twin = DraftTree(nodes=plain, params=params)
+        built = DraftTree(nodes=integer_like, params=params)
+        replaced = dataclasses.replace(twin, nodes=list(integer_like))
+        for tree in (built, replaced):
+            for node in tree.nodes:
+                assert type(node.token) is type(node.parent) is type(node.depth) is int
+            assert tree == twin and tree.nodes == plain
+            tree.validate()
 
     def test_non_integer_parent_rejected(self):
         params = TreeParams(top_k=2, max_depth=2, max_nodes=50)

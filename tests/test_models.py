@@ -146,13 +146,16 @@ class TestPrefixKey:
             assert verifier.next(other.extend(1)) == verifier.next(state.extend(1))
 
     def test_a_checked_one_token_child_equals_extend(self):
-        # ``build_tree``'s level states come from ``_after``; at a long prefix
-        # it must build exactly the state ``extend`` builds.
+        # ``build_tree``'s level states come from ``extend``, one field copy
+        # and one mix; at a long prefix it must build exactly the state the
+        # constructor builds from the whole ``emitted``.
         parent = state_of(*(i * 37 % 256 for i in range(1000)), prompt="long")
-        for token in (0, 9, 255):
-            child, expected = parent._after(token), parent.extend(token)
+        for token in (0, 9, 255, np.int64(200)):
+            child = parent.extend(token)
+            expected = state_of(*parent.emitted, token, prompt="long")
             assert type(child) is PrefixState and vars(child) == vars(expected)
             assert child.emitted == parent.emitted + (token,)
+            assert type(child.emitted[-1]) is int
             assert child.key == expected.key == reference_key("long", "o", child.emitted)
             assert child == expected and hash(child) == hash(expected)
             assert repr(child) == repr(expected)
@@ -289,9 +292,9 @@ def verifier_round(monkeypatch):
 def frontier_states(monkeypatch):
     """The depth-2 states a draft is handed, the states they hold, and a count of the states built."""
     built = []
-    after = PrefixState._after
+    extend = PrefixState.extend
     monkeypatch.setattr(
-        PrefixState, "_after", lambda self, token: built.append(1) or after(self, token)
+        PrefixState, "extend", lambda self, token: built.append(1) or extend(self, token)
     )
     draft = make_noisy_draft(HashVerifier(seed=5), 0.5, 6.0)
     levels = []

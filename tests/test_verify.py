@@ -464,21 +464,27 @@ class TestArDecode:
 
 class TestDecodeEpisode:
     def test_strict_equals_ar(self):
+        # A start state that already holds tokens pins that only the tokens
+        # committed past it are returned, exactly ``length`` of them.
         for seed in range(20):
             verifier, draft = models_for(seed, agreement_p=0.6, noise_sigma=4.0)
-            state = PrefixState(prompt_id=f"s{seed}")
             params = TreeParams(top_k=4, max_depth=3, max_nodes=20)
-            tokens, _ = decode_episode(
-                state, verifier, draft, params, AcceptancePolicy.strict(), 21
-            )
-            assert tokens == ar_decode(state, verifier, 21)
+            for emitted in ((), (5, 6, 7)):
+                state = PrefixState(prompt_id=f"s{seed}", emitted=emitted)
+                tokens, _ = decode_episode(
+                    state, verifier, draft, params, AcceptancePolicy.strict(), 21
+                )
+                assert len(tokens) == 21 and tokens == ar_decode(state, verifier, 21)
 
     def test_engine_trees_are_checked_once(self, monkeypatch):
         # build_tree checks each proposal as it reads it, so its trees skip
-        # the constructor's tree check; a hand-built tree still runs it.
+        # the tree check that the constructor and ``validate`` share; a
+        # hand-built tree still runs it.
         calls = []
-        check = DraftTree.validate
-        monkeypatch.setattr(DraftTree, "validate", lambda tree: calls.append(tree) or check(tree))
+        check = DraftTree._checked_nodes
+        monkeypatch.setattr(
+            DraftTree, "_checked_nodes", lambda tree: calls.append(tree) or check(tree)
+        )
         verifier, draft = models_for(5)
         _, outcomes = decode_episode(
             PrefixState(), verifier, draft, TreeParams(), AcceptancePolicy.relaxed(9), 30

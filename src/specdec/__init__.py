@@ -8,11 +8,9 @@ every experiment reproducible without trained weights.
 
 from .action_space import (
     CHUNK_SIZE,
-    DIMENSION_NAMES,
     DimensionBounds,
     bin_distance,
     detokenize,
-    tokenize,
 )
 from .config import ConfigError, RunConfig, parse_config
 from .draft_tree import (
@@ -60,7 +58,6 @@ __all__ = [
     "CHUNK_SIZE",
     "ConfigError",
     "CostModel",
-    "DIMENSION_NAMES",
     "DimensionBounds",
     "Distribution",
     "DraftNode",
@@ -96,7 +93,6 @@ __all__ = [
     "run_batch",
     "run_episode",
     "success_proxy",
-    "tokenize",
     "validate_report",
     "verify_tree",
     "__version__",

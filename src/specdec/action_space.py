@@ -4,15 +4,16 @@ A control action is a frame of 7 tokens, one per action dimension:
 ``[dpos_x, dpos_y, dpos_z, drot_x, drot_y, drot_z, gripper]``.  Each
 dimension is quantized into ``vocab_size`` equal-width bins (256 by
 default), and the distance between two tokens of the same dimension is
-the absolute difference of their bin IDs.
+the absolute difference of their bin IDs.  Tokens are integers, read by
+``operator.index`` as everywhere in the engine; chunks and their values
+are returned as tuples.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 # One control action = 7 tokens, in this dimension order.
 CHUNK_SIZE = 7
@@ -37,7 +38,7 @@ _DEFAULT_HIGH = (0.05, 0.05, 0.05, 0.25, 0.25, 0.25, 1.0)
 
 def bin_distance(a: int, b: int) -> int:
     """Distance between two action tokens: absolute difference of bin IDs."""
-    return abs(int(a) - int(b))
+    return abs(operator.index(a) - operator.index(b))
 
 
 @dataclass(frozen=True)
@@ -69,47 +70,29 @@ class DimensionBounds:
         return [[lo, hi] for lo, hi in zip(self.low, self.high)]
 
 
-def as_chunk(tokens, vocab_size: int = DEFAULT_VOCAB_SIZE) -> np.ndarray:
-    """Validate a 7-token action chunk and return it as an int array."""
-    arr = np.asarray(tokens, dtype=np.int64)
-    if arr.shape != (CHUNK_SIZE,):
-        raise ValueError(f"action chunk must have exactly {CHUNK_SIZE} tokens, got shape {arr.shape}")
-    if (arr < 0).any() or (arr >= vocab_size).any():
+def as_chunk(tokens, vocab_size: int = DEFAULT_VOCAB_SIZE) -> tuple[int, ...]:
+    """Validate a 7-token action chunk and return it as a tuple of ints."""
+    chunk = tuple(map(operator.index, tokens))
+    if len(chunk) != CHUNK_SIZE:
+        raise ValueError(f"action chunk must have exactly {CHUNK_SIZE} tokens, got {len(chunk)}")
+    if not all(0 <= t < vocab_size for t in chunk):
         raise ValueError(f"chunk contains tokens outside [0, {vocab_size})")
-    return arr
+    return chunk
 
 
 def detokenize(
     chunk,
     bounds: DimensionBounds | None = None,
     vocab_size: int = DEFAULT_VOCAB_SIZE,
-) -> np.ndarray:
-    """Map a 7-token chunk to continuous values at the bin centers.
+) -> tuple[float, ...]:
+    """Map a 7-token chunk to the continuous values at its bin centers.
 
     Bin ``k`` of dimension ``i`` maps to ``low_i + (k + 0.5) * width_i`` with
-    ``width_i = (high_i - low_i) / vocab_size``.  The bin-center convention
-    makes ``tokenize(detokenize(k)) == k`` exact for every bin.
+    ``width_i = (high_i - low_i) / vocab_size``, so each value lies inside
+    its own bin, ``[low_i + k * width_i, low_i + (k + 1) * width_i)``.
     """
     bounds = bounds or DimensionBounds()
-    arr = as_chunk(chunk, vocab_size)
-    low = np.asarray(bounds.low, dtype=np.float64)
-    high = np.asarray(bounds.high, dtype=np.float64)
-    width = (high - low) / vocab_size
-    return low + (arr + 0.5) * width
-
-
-def tokenize(
-    values,
-    bounds: DimensionBounds | None = None,
-    vocab_size: int = DEFAULT_VOCAB_SIZE,
-) -> np.ndarray:
-    """Quantize 7 continuous values into bin IDs; out-of-range values clamp."""
-    bounds = bounds or DimensionBounds()
-    vals = np.asarray(values, dtype=np.float64)
-    if vals.shape != (CHUNK_SIZE,):
-        raise ValueError(f"expected {CHUNK_SIZE} values, got shape {vals.shape}")
-    low = np.asarray(bounds.low, dtype=np.float64)
-    high = np.asarray(bounds.high, dtype=np.float64)
-    clamped = np.clip(vals, low, high)
-    bins = np.floor((clamped - low) / (high - low) * vocab_size).astype(np.int64)
-    return np.clip(bins, 0, vocab_size - 1)
+    return tuple(
+        low + (k + 0.5) * ((high - low) / vocab_size)
+        for k, low, high in zip(as_chunk(chunk, vocab_size), bounds.low, bounds.high)
+    )

@@ -1,13 +1,21 @@
-"""Shared test fixtures: scripted models, random trees, and oracle math.
+"""Shared test fixtures: scripted models, random trees, oracle math, and drift figures.
 
-Everything here is deliberately independent of the engine's own code paths:
+The oracles are deliberately independent of the engine's own code paths:
 expectations are recomputed from first principles so the tests cross-check
-the implementation instead of echoing it.
+the implementation instead of echoing it.  ``drift_surrogate`` is a
+measurement instead: it decodes with the engine and reports how far the
+emitted tokens drift from the verifier's own choices.
 """
+
+import math
+from statistics import median
+from typing import NamedTuple
 
 import numpy as np
 
-from specdec.action_space import CHUNK_SIZE, bin_distance
+from specdec.action_space import CHUNK_SIZE, bin_distance, detokenize
+from specdec.config import RunConfig
+from specdec.harness import run_batch
 from specdec.draft_tree import ROOT, DraftNode, DraftTree, TreeParams, build_tree
 from specdec.models import NoisyDraft, PrefixState
 
@@ -276,3 +284,58 @@ def frame_expected(
         steps[c] = 1.0 + sum(p * steps[n] for p, n in zip(accepted, nexts))
         rounds[c] = depth + sum(p * rounds[n] for p, n in zip(accepted, nexts))
     return float(frame / steps[0]), float(rounds[0] / steps[0])
+
+
+class DriftRow(NamedTuple):
+    """How far one policy's emitted tokens drift from the verifier's own choices."""
+
+    tokens_per_pass: float
+    mean_abs_bins: tuple[float, ...]  # mean |emitted - reference| in bins, per dimension
+    off_frac: float  # share of emitted tokens that differ from the reference
+    xyz_mm: float  # median over episodes of the accumulated position error, mm
+    rot_mrad: float  # median over episodes of the accumulated rotation error, mrad
+
+
+def drift_surrogate(config: RunConfig) -> dict[int, DriftRow]:
+    """Drift of each policy in ``config.r_values`` from the verifier's reference.
+
+    Each episode is decoded with ``run_batch``; the reference is the
+    verifier argmax recorded at every emitted position.  An episode's pose
+    error detokenizes each emitted frame and its reference frame, sums the
+    per-frame differences of the three position dimensions over the
+    episode, and takes that sum's norm (meters, shown in mm); likewise the
+    three rotation deltas (radians, small angles, shown in mrad).  This is
+    a drift surrogate, not task success.
+    """
+    stats = run_batch(config)
+    rows = {}
+    for r in config.r_values:
+        steps = accepted = off = 0
+        abs_sums = [0] * CHUNK_SIZE
+        counts = [0] * CHUNK_SIZE
+        xyz, rot = [], []
+        for episode in (s for s in stats if s.r == r):
+            steps += episode.steps
+            accepted += sum(o.accepted for o in episode.outcomes)
+            emitted = [t for o in episode.outcomes for t in o.emitted][: config.target_length]
+            reference = [t for o in episode.outcomes for t in o.reference][: len(emitted)]
+            for i, (token, ref) in enumerate(zip(emitted, reference)):
+                dimension = (episode.start_position + i) % CHUNK_SIZE
+                abs_sums[dimension] += bin_distance(token, ref)
+                counts[dimension] += 1
+                off += token != ref
+            pose = [0.0] * CHUNK_SIZE
+            for start in range(0, len(emitted), CHUNK_SIZE):
+                frames = (emitted[start : start + CHUNK_SIZE], reference[start : start + CHUNK_SIZE])
+                got, want = (detokenize(f, config.dimension_bounds, config.vocab_size) for f in frames)
+                pose = [p + g - w for p, g, w in zip(pose, got, want)]
+            xyz.append(1000.0 * math.hypot(*pose[0:3]))
+            rot.append(1000.0 * math.hypot(*pose[3:6]))
+        rows[r] = DriftRow(
+            tokens_per_pass=1.0 + accepted / steps,
+            mean_abs_bins=tuple(a / c for a, c in zip(abs_sums, counts)),
+            off_frac=off / sum(counts),
+            xyz_mm=median(xyz),
+            rot_mrad=median(rot),
+        )
+    return rows

@@ -1,4 +1,4 @@
-"""Tokenization, bin distance, and round-trip guarantees."""
+"""Bin distance, detokenization at bin centers, and the integer-token rule."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from specdec.action_space import (
     DimensionBounds,
     bin_distance,
     detokenize,
-    tokenize,
 )
 
 SYMMETRIC = DimensionBounds(low=(-1.0,) * 7, high=(1.0,) * 7)
@@ -59,44 +58,46 @@ class TestDetokenize:
         with pytest.raises(ValueError):
             detokenize([0, 0, 0, 0, 0, 0, 256], SYMMETRIC)
 
+    def test_returns_a_tuple_of_floats(self):
+        values = detokenize([0, 1, 2, 3, 4, 5, 6], SYMMETRIC)
+        assert type(values) is tuple
+        assert all(type(v) is float for v in values)
 
-class TestTokenize:
-    def test_roundtrip_of_bin_zero_center(self):
-        bins = tokenize([-0.99609375] * CHUNK_SIZE, SYMMETRIC)
-        assert (bins == 0).all()
-
-    def test_upper_edge_clamps_to_last_bin(self):
-        bins = tokenize([1.0] * CHUNK_SIZE, SYMMETRIC)
-        assert (bins == 255).all()
-
-    def test_out_of_range_values_clamp(self):
-        low = tokenize([-5.0] * CHUNK_SIZE, SYMMETRIC)
-        high = tokenize([5.0] * CHUNK_SIZE, SYMMETRIC)
-        assert (low == 0).all()
-        assert (high == 255).all()
-
-    def test_roundtrip_error_within_half_bin(self):
-        """tokenize-then-detokenize moves any in-range value by <= width/2."""
-        rng = np.random.default_rng(7)
-        bounds = DimensionBounds()
-        low = np.asarray(bounds.low)
-        high = np.asarray(bounds.high)
-        half_width = (high - low) / 256 / 2
-        for _ in range(10_000 // CHUNK_SIZE):
-            values = rng.uniform(low, high)
-            recovered = detokenize(tokenize(values, bounds), bounds)
-            assert (np.abs(recovered - values) <= half_width + 1e-12).all()
-
-    def test_bins_roundtrip_exactly_all_vocab(self):
-        """tokenize(detokenize(k)) == k for every bin, several bounds."""
+    def test_every_bin_maps_to_its_center_inside_its_bin(self):
+        """Each value is bin k's center and lies in [low + k*w, low + (k+1)*w)."""
         for bounds in (
             SYMMETRIC,
             DimensionBounds(),
             DimensionBounds(low=(0.013,) * 7, high=(0.29,) * 7),
         ):
             for k in range(256):
-                chunk = [k] * CHUNK_SIZE
-                assert (tokenize(detokenize(chunk, bounds), bounds) == k).all()
+                values = detokenize([k] * CHUNK_SIZE, bounds)
+                for value, low, high in zip(values, bounds.low, bounds.high):
+                    width = (high - low) / 256
+                    assert value == low + (k + 0.5) * width
+                    assert low + k * width <= value < low + (k + 1) * width
+
+
+class TestIntegerTokens:
+    """Tokens are read by ``operator.index``, as the rest of the engine reads them."""
+
+    @pytest.mark.parametrize("bad", [1.5, np.float64(2.0), "3"], ids=["float", "np-float", "str"])
+    def test_detokenize_rejects_non_integer_tokens(self, bad):
+        with pytest.raises(TypeError):
+            detokenize([bad] + [0] * (CHUNK_SIZE - 1), SYMMETRIC)
+
+    @pytest.mark.parametrize("bad", [1.5, np.float64(2.0), "3"], ids=["float", "np-float", "str"])
+    def test_bin_distance_rejects_non_integer_tokens(self, bad):
+        with pytest.raises(TypeError):
+            bin_distance(bad, 0)
+        with pytest.raises(TypeError):
+            bin_distance(0, bad)
+
+    def test_integer_like_tokens_are_accepted(self):
+        chunk = [np.int64(3), True, False, 3, 1, 0, np.int64(255)]
+        assert detokenize(chunk, SYMMETRIC) == detokenize([3, 1, 0, 3, 1, 0, 255], SYMMETRIC)
+        assert bin_distance(np.int64(137), True) == 136
+        assert type(bin_distance(np.int64(137), np.int64(128))) is int
 
 
 class TestBounds:

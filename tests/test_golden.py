@@ -49,6 +49,16 @@ def test_seeded_run_matches_pinned_digests(overrides, tokens_digest, report_dige
 
 ABLATE_ARGS = ["ablate", "--episodes", "3", "--length", "14", "--seed", "5"]
 
+# Non-default bounds and vocabulary, so that the ``decode`` action lines pin
+# ``detokenize``'s values.  An argument equal to ``"BOUNDS_CONFIG"`` names a
+# file holding this config.
+BOUNDS_CONFIG = {
+    "vocab_size": 1000,
+    "dimension_bounds": [
+        [-0.1, 0.3], [-0.02, 0.07], [0.013, 0.29], [-1.5, 0.5], [-0.3, 0.3], [-3.0, 3.0], [-1.0, 1.0]
+    ],
+}
+
 
 @pytest.mark.parametrize(
     "argv, digest",
@@ -73,9 +83,17 @@ ABLATE_ARGS = ["ablate", "--episodes", "3", "--length", "14", "--seed", "5"]
             "0f59c81ade979874f6f428bd2f83e29fa6bcaee86384af0b0771ed6140d352b1",
             id="decode",
         ),
+        pytest.param(
+            ["decode", "--config", "BOUNDS_CONFIG", "--seed", "5", "--length", "35", "--r", "9"],
+            "5cc95b69a2f3b83bc1575865320e6da99fd3d20cf8d16f109b3300a2522b2808",
+            id="decode-bounds",
+        ),
     ],
 )
-def test_cli_output_matches_pinned_digest(argv, digest, capsys):
+def test_cli_output_matches_pinned_digest(argv, digest, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(BOUNDS_CONFIG))
+    argv = [str(path) if arg == "BOUNDS_CONFIG" else arg for arg in argv]
     assert main(argv) == 0
     assert sha256(capsys.readouterr().out) == digest
 

@@ -24,6 +24,7 @@ from specdec.verify import AcceptancePolicy, VerifyOutcome, decode_episode
 from helpers import (
     chain_expected_accepted,
     chain_q,
+    drift_surrogate,
     frame_expected,
     tree_expected_tokens_per_pass,
 )
@@ -129,6 +130,34 @@ class TestRunBatch:
             assert analytic_speedup(cost, rounds, tokens) == pytest.approx(speedup, abs=1e-5)
             # Capping depth at the frame's end always costs tokens per pass.
             assert tokens < tree_expected_tokens_per_pass(0.5, 6.0, 256, r, TreeParams())
+
+    def test_drift_surrogate_table(self):
+        # The README's drift-surrogate table: default config, seed 0, 16
+        # episodes of 70 tokens (160 tokens per dimension, 1,120 in all).
+        config = dataclasses.replace(
+            RunConfig(), seed=0, episodes=16, target_length=70, r_values=(0, 1, 3, 5, 9, 12)
+        )
+        pinned = {  # r: (tokens/pass, |emitted - reference| summed per dimension,
+            #            tokens off the reference, median xyz mm, median rotation mrad)
+            0: (2.30426, (0, 0, 0, 0, 0, 0, 0), 0, 0.0, 0.0),
+            1: (3.24646, (47, 50, 41, 42, 42, 45, 48), 315, 1.13836, 6.01785),
+            3: (3.99301, (78, 116, 83, 89, 88, 106, 97), 357, 2.27747, 9.95902),
+            5: (4.39313, (178, 182, 149, 162, 130, 159, 163), 409, 3.65383, 12.73083),
+            9: (4.72614, (265, 217, 206, 236, 272, 272, 264), 438, 6.07378, 32.98766),
+            12: (4.96460, (288, 279, 233, 387, 350, 304, 260), 460, 7.72348, 37.23123),
+        }
+        rows = drift_surrogate(config)
+        assert list(rows) == list(pinned)
+        for r, (tokens, bins, off, xyz, rot) in pinned.items():
+            row = rows[r]
+            assert row.tokens_per_pass == pytest.approx(tokens, abs=5e-6)
+            assert row.mean_abs_bins == tuple(b / 160 for b in bins)
+            assert row.off_frac == off / 1120
+            assert (row.xyz_mm, row.rot_mrad) == pytest.approx((xyz, rot), abs=5e-6)
+        # Strict acceptance is lossless, so every drift figure is exactly 0.
+        strict = rows[0]
+        assert strict.mean_abs_bins == (0.0,) * 7
+        assert strict.off_frac == strict.xyz_mm == strict.rot_mrad == 0.0
 
     def test_invalid_config_raises_descriptive_error(self):
         from specdec.config import ConfigValueError

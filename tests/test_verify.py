@@ -448,8 +448,8 @@ class TestArDecode:
         verifier = HashVerifier(seed=33)
         tokens = ar_decode(PrefixState(), verifier, 7)
         values = detokenize(tokens)
-        assert values.shape == (7,)
-        assert np.isfinite(values).all()
+        assert len(values) == 7
+        assert all(map(math.isfinite, values))
 
     def test_rejects_zero_length(self):
         """A zero or fractional length fails before any model is called."""

@@ -12,17 +12,15 @@ from .action_space import (
     bin_distance,
     detokenize,
 )
-from .config import ConfigError, RunConfig, parse_config
+from .config import ConfigError, CostModel, RunConfig, parse_config
 from .draft_tree import (
     DraftNode,
     DraftTree,
     TreeParams,
-    TreeStructureError,
     build_tree,
     enumerate_paths,
 )
 from .harness import (
-    CostModel,
     EpisodeStats,
     SpeedupMeasurement,
     analytic_speedup,
@@ -39,6 +37,7 @@ from .models import (
     TimedDraft,
     TimedVerifier,
     TreeDistributions,
+    TreeStructureError,
     displacement_pmf,
     make_noisy_draft,
 )

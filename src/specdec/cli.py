@@ -17,18 +17,12 @@ checked before any episode runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .action_space import CHUNK_SIZE, detokenize
 from .config import REPORT_FORMATS, ConfigError, ConfigValueError, RunConfig, parse_config
-from .harness import (
-    _episode_state,
-    build_models,
-    measure_speedup,
-    policy_for_r,
-    run_batch,
-    run_episode,
-)
+from .harness import measure_speedup, run_batch
 from .report import (
     aggregate,
     render_ablation_csv,
@@ -70,6 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--r",
             type=int,
             action="append",
+            dest="r_values",
             metavar="INT",
             help="relaxation threshold; repeat to sweep (0 = strict)",
         )
@@ -84,17 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {
-        "seed": args.seed,
-        "r_values": tuple(args.r) if args.r else None,
-        "top_k": args.top_k,
-        "tree_depth": args.tree_depth,
-        "max_nodes": args.max_nodes,
-        "episodes": args.episodes,
-        "target_length": args.target_length,
-        "format": args.format,
-        "out": args.out,
-    }
+    """Each flag's ``dest`` is its config key; ``--config`` names the file to read."""
+    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     return parse_config(args.config, overrides)
 
 
@@ -118,25 +104,14 @@ def _emit(text: str, out: str | None) -> int:
 
 
 def _cmd_decode(config: RunConfig) -> int:
-    verifier, draft = build_models(config)
-    policy = policy_for_r(config.r_values[0], config.per_dimension_r)
-    stats = run_episode(
-        verifier,
-        draft,
-        config.tree_params(),
-        policy,
-        _episode_state(0),
-        config.target_length,
-        config.success_tolerance,
-    )
-
+    """Decode episode 0 under the first threshold and print its trace."""
+    stats = run_batch(dataclasses.replace(config, episodes=1, r_values=config.r_values[:1]))[0]
     lines = [
-        f"policy: {policy.mode}"
-        + (f" (r={policy.r})" if policy.mode == "relaxed" else "")
+        f"policy: {stats.mode}"
+        + (f" (r={stats.r})" if stats.mode == "relaxed" else "")
         + f", length: {config.target_length}, seed: {config.seed}"
     ]
     position = 0
-    emitted: list[int] = []
     for step, outcome in enumerate(stats.outcomes, start=1):
         drafted = list(outcome.emitted[: outcome.accepted])
         tail = outcome.emitted[-1]
@@ -146,8 +121,7 @@ def _cmd_decode(config: RunConfig) -> int:
             f"  {tail_kind} {tail}"
         )
         position += len(outcome.emitted)
-        emitted.extend(outcome.emitted)
-    emitted = emitted[: config.target_length]
+    emitted = [t for outcome in stats.outcomes for t in outcome.emitted][: config.target_length]
 
     lines.append(f"tokens: {emitted}")
     for start in range(0, len(emitted), CHUNK_SIZE):

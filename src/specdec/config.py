@@ -10,7 +10,8 @@ Every :class:`RunConfig` converts and checks its own values when built,
 so the same rules hold however it is made: parsed, by hand, or by
 ``dataclasses.replace``.  Each value is converted by its field's declared
 type (an integral float to ``int``, a list to ``tuple``); any failure is a
-:class:`ConfigValueError`, which the CLI maps to exit code 5.
+:class:`ConfigValueError`, which the CLI maps to exit code 5.  A config also
+builds a run's objects (:func:`build_models`, ``tree_params``, ``cost_model``).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field, fields
 
 from .action_space import CHUNK_SIZE, DimensionBounds
 from .draft_tree import TreeParams
+from .models import HashVerifier, NoisyDraft
 from .verify import AcceptancePolicy
 
 
@@ -54,6 +56,26 @@ REPORT_FORMATS = ("json", "csv", "table")
 
 
 @dataclass(frozen=True)
+class CostModel:
+    """Latency model for one decoding round: seconds per model call.
+
+    ``verify_latency`` is the cost of one verifier round (an AR step or a
+    batched tree verification); ``draft_latency`` the cost of one draft
+    proposal round (one tree level).  Free drafts are allowed.  Both must
+    be finite.
+    """
+
+    verify_latency: float
+    draft_latency: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.verify_latency < math.inf:
+            raise ValueError("verify_latency must be positive and finite")
+        if not 0.0 <= self.draft_latency < math.inf:
+            raise ValueError("draft_latency must be finite and >= 0")
+
+
+@dataclass(frozen=True)
 class RunConfig:
     vocab_size: int = 256
     dimension_bounds: DimensionBounds = field(default_factory=DimensionBounds)
@@ -77,8 +99,6 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         """Check the config's own rules, and build what checks the rest."""
-        from .harness import build_models
-
         # Convert first, so every rule below reads values of the declared types.
         for f in fields(self):
             object.__setattr__(self, f.name, _convert(f.name, f.type, getattr(self, f.name)))
@@ -130,8 +150,6 @@ class RunConfig:
         return TreeParams(top_k=self.top_k, max_depth=self.tree_depth, max_nodes=self.max_nodes)
 
     def cost_model(self):
-        from .harness import CostModel
-
         if self.verify_latency is None or self.draft_latency is None:
             return None
         return CostModel(verify_latency=self.verify_latency, draft_latency=self.draft_latency)
@@ -142,6 +160,18 @@ class RunConfig:
         del echo["format"], echo["out"]
         echo["dimension_bounds"] = self.dimension_bounds.as_pairs()
         return echo
+
+
+def build_models(config: RunConfig):
+    """Construct the seeded synthetic verifier/draft pair for a config."""
+    verifier = HashVerifier(vocab_size=config.vocab_size, seed=config.seed)
+    draft = NoisyDraft(
+        verifier,
+        agreement_p=config.agreement_p,
+        noise_sigma=config.noise_sigma,
+        seed=config.seed + 1,
+    )
+    return verifier, draft
 
 
 def _as_int(value) -> int:

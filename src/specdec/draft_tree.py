@@ -47,26 +47,7 @@ import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .models import DraftModel, PrefixState, _Lazy
-
-
-class TreeStructureError(ValueError):
-    """Raised for a malformed draft tree or draft proposal:
-
-    * a tree over its node budget or max depth;
-    * a node whose parent or depth is not an integer, whose parent dangles
-      or comes after it, or whose depth is not its parent's plus one;
-    * a node token that is not an integer >= 0, or lies outside the
-      verifier's vocabulary;
-    * a repeated sibling token;
-    * a ``propose_many`` result, or one state's proposals, that is not
-      iterable;
-    * a proposal that is not an ``(int, log-score)`` pair with a real
-      log-score, or whose log-score is not finite and at most the draft's
-      ``max_log_score``;
-    * a draft ``max_log_score`` that is not a real number in (-inf, 0];
-    * a ``verified`` list whose length does not match its tree.
-    """
+from .models import DraftModel, PrefixState, TreeStructureError, _Lazy
 
 
 ROOT = -1  # parent marker for first-level nodes

@@ -1,9 +1,10 @@
 """Batch episode runner: seeded episodes, success proxy, and speedup.
 
-Episodes are seeded and independent, so a batch is reproducible from the
-master seed alone.  Each episode keeps its verification outcomes and the
-position it started from; ``report.aggregate`` derives the acceptance
-histogram and per-position averages from those outcomes.
+It runs the model pair, tree parameters and cost model a ``RunConfig``
+builds.  Episodes are seeded and independent, so a batch is reproducible
+from the master seed alone.  Each episode keeps its verification outcomes
+and start position; ``report.aggregate`` derives the acceptance histogram
+and per-position averages from those outcomes.
 
 Task success needs a robot simulator, which is out of scope here.  As a
 surrogate, an episode "succeeds" when every emitted token stays within a
@@ -14,36 +15,15 @@ about downstream task performance.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
 
 from .action_space import CHUNK_SIZE, bin_distance
-from .config import ConfigValueError, RunConfig
+from .config import ConfigValueError, CostModel, RunConfig, build_models
 from .draft_tree import TreeParams
-from .models import HashVerifier, NoisyDraft, PrefixState, TimedDraft, TimedVerifier
+from .models import PrefixState, TimedDraft, TimedVerifier
 from .verify import AcceptancePolicy, VerifyOutcome, ar_decode, decode_episode
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Latency model for one decoding round: seconds per model call.
-
-    ``verify_latency`` is the cost of one verifier round (an AR step or a
-    batched tree verification); ``draft_latency`` the cost of one draft
-    proposal round (one tree level).  Free drafts are allowed.  Both must
-    be finite.
-    """
-
-    verify_latency: float
-    draft_latency: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.verify_latency < math.inf:
-            raise ValueError("verify_latency must be positive and finite")
-        if not 0.0 <= self.draft_latency < math.inf:
-            raise ValueError("draft_latency must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -114,18 +94,6 @@ def _episode_state(index: int) -> PrefixState:
     return PrefixState(prompt_id=f"ep{index:06d}", observation_id=f"obs{index:06d}")
 
 
-def build_models(config: RunConfig):
-    """Construct the seeded synthetic verifier/draft pair for a config."""
-    verifier = HashVerifier(vocab_size=config.vocab_size, seed=config.seed)
-    draft = NoisyDraft(
-        verifier,
-        agreement_p=config.agreement_p,
-        noise_sigma=config.noise_sigma,
-        seed=config.seed + 1,
-    )
-    return verifier, draft
-
-
 def run_batch(config: RunConfig) -> list[EpisodeStats]:
     """Run ``episodes`` seeded episodes for every policy, in ``r_values`` order."""
     verifier, draft = build_models(config)
@@ -164,7 +132,12 @@ def analytic_speedup(cost: CostModel, depth: int, tokens_per_pass: float) -> flo
 
 @dataclass(frozen=True)
 class SpeedupMeasurement:
-    """Measured AR-vs-speculative wall-clock comparison on a fixed workload."""
+    """Measured AR-vs-speculative wall-clock comparison on a fixed workload.
+
+    ``tokens_per_pass`` counts committed tokens only, and ``analytic`` is
+    priced from it; a ``PolicyReport`` row also counts the last step's
+    overshoot past ``target_length``, so its two figures read higher.
+    """
 
     measured: float
     analytic: float

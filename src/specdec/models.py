@@ -177,6 +177,25 @@ class TreeDistributions(_Lazy):
         return list(map(Distribution, self[1:]))
 
 
+class TreeStructureError(ValueError):
+    """Raised for a malformed draft tree or draft proposal:
+
+    * a tree over its node budget or max depth;
+    * a node whose parent or depth is not an integer, whose parent dangles
+      or comes after it, or whose depth is not its parent's plus one;
+    * a node token that is not an integer >= 0, or lies outside the
+      verifier's vocabulary;
+    * a repeated sibling token;
+    * a ``propose_many`` result, or one state's proposals, that is not
+      iterable;
+    * a proposal that is not an ``(int, log-score)`` pair with a real
+      log-score, or whose log-score is not finite and at most the draft's
+      ``max_log_score``;
+    * a draft ``max_log_score`` that is not a real number in (-inf, 0];
+    * a ``verified`` list whose length does not match its tree.
+    """
+
+
 class Verifier(Protocol):
     """The large model: its greedy next token after a prefix, alone or for a whole draft tree.
 
@@ -273,7 +292,6 @@ class HashVerifier:
         nodes = tree.nodes
         if max(map(_token_of, nodes), default=0) >= self.vocab_size:
             i = next(i for i, node in enumerate(nodes) if node.token >= self.vocab_size)
-            from .draft_tree import TreeStructureError
             raise TreeStructureError(
                 f"node {i} token {nodes[i].token} is outside vocabulary [0, {self.vocab_size})"
             )

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .action_space import CHUNK_SIZE
-from .draft_tree import ROOT, DraftTree, TreeParams, TreeStructureError, build_tree
-from .models import DraftModel, PrefixState, Verifier
+from .draft_tree import ROOT, DraftTree, TreeParams, build_tree
+from .models import DraftModel, PrefixState, TreeStructureError, Verifier
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,10 @@ class VerifyOutcome:
     verifier token: the bonus when ``bonus_used``, else the correction at
     the first rejection.  ``reference`` carries the verifier argmax for
     every emitted position, which bounds how far the emitted step drifted
-    from the verifier's own choices.  Both hold ``int``s, whatever integer
-    type the verifier's argmaxes were.
+    from the verifier's own choices.  Both hold ``int``s: each argmax is
+    read by ``operator.index``, so any integer type is stored as ``int`` and
+    anything else, a float included, raises ``TypeError``, as it does in
+    :func:`ar_decode`.
     """
 
     accepted: int
@@ -141,7 +143,7 @@ def verify_tree(
         if parent_tip == parent:
             target = argmax[parent + 1]
             if target is None:
-                target = argmax[parent + 1] = int(verified[parent + 1])
+                target = argmax[parent + 1] = operator.index(verified[parent + 1])
             if abs(token - target) <= r_at[depth - 1]:
                 parent_tip = i
         tip.append(parent_tip)
@@ -167,7 +169,7 @@ def verify_tree(
         j = parent
     next_token = argmax[best_tip + 1]
     if next_token is None:
-        next_token = int(verified[best_tip + 1])
+        next_token = operator.index(verified[best_tip + 1])
     bonus_used = best_tip == best_leaf
     return VerifyOutcome(
         accepted=best_accepted,

@@ -1,4 +1,4 @@
-"""Shared test fixtures: scripted models, random trees, oracle math, and drift figures.
+"""Shared test fixtures: scripted and smooth models, random trees, oracle math, and drift figures.
 
 The oracles are deliberately independent of the engine's own code paths:
 expectations are recomputed from first principles so the tests cross-check
@@ -17,7 +17,7 @@ from specdec.action_space import CHUNK_SIZE, bin_distance, detokenize
 from specdec.config import RunConfig
 from specdec.harness import run_batch
 from specdec.draft_tree import ROOT, DraftNode, DraftTree, TreeParams, build_tree
-from specdec.models import NoisyDraft, PrefixState
+from specdec.models import HashVerifier, NoisyDraft, PrefixState, TreeStructureError, _mix, _salt
 
 
 class ScriptedVerifier:
@@ -69,6 +69,61 @@ class ScriptedDraft:
     def propose_many(self, states, k):
         if not 1 <= k <= self.vocab_size:
             raise ValueError(f"k must be in [1, {self.vocab_size}]")
+        return [self._propose(s, k) for s in states]
+
+
+class SmoothVerifier:
+    """Prefix-sensitive verifier whose actions are smooth across frames.
+
+    In the first frame the argmax is ``HashVerifier``'s.  From position 7
+    on, it is the token 7 positions back (the same dimension one frame
+    earlier) plus a step in {-2, ..., 2} keyed by the prefix, clamped into
+    the vocabulary.  ``batch`` builds every node's state from its parent's
+    and answers for all of them; a node token outside the vocabulary is a
+    ``TreeStructureError``, as the ``Verifier`` protocol asks.
+    """
+
+    def __init__(self, vocab_size=256, seed=0):
+        self.vocab_size = vocab_size
+        self._first_frame = HashVerifier(vocab_size, seed)
+        self._step = _salt(b"smooth-step", seed)
+
+    def next(self, state):
+        if state.position < CHUNK_SIZE:
+            return self._first_frame.next(state)
+        step = (_mix(state.key ^ self._step) * 5 >> 64) - 2
+        return min(max(state.emitted[-CHUNK_SIZE] + step, 0), self.vocab_size - 1)
+
+    def batch(self, state, tree):
+        states = [state]
+        for i, node in enumerate(tree.nodes):
+            if not 0 <= node.token < self.vocab_size:
+                raise TreeStructureError(f"node {i} token {node.token} is outside the vocabulary")
+            states.append(states[node.parent + 1].extend(node.token))
+        return [self.next(s) for s in states]
+
+
+class PreviousFrameDraft:
+    """Draft that never calls a verifier: it proposes the previous frame's token.
+
+    In the first frame it proposes nothing, so each of those steps is one
+    AR step.  Later it proposes the token 7 positions back and then its
+    nearest bins inside the vocabulary, each scored minus its distance in
+    bins: finite and at most 0.
+    """
+
+    def __init__(self, vocab_size=256):
+        self.vocab_size = vocab_size
+
+    def _propose(self, state, k):
+        if state.position < CHUNK_SIZE:
+            return []
+        center = state.emitted[-CHUNK_SIZE]
+        near = sorted(range(max(center - k, 0), min(center + k + 1, self.vocab_size)),
+                      key=lambda b: abs(b - center))
+        return [(b, -float(abs(b - center))) for b in near[:k]]
+
+    def propose_many(self, states, k):
         return [self._propose(s, k) for s in states]
 
 

@@ -336,7 +336,6 @@ class TestCliCommands:
             raise AssertionError("an episode ran before --out was checked")
 
         monkeypatch.setattr("specdec.cli.run_batch", decode_nothing)
-        monkeypatch.setattr("specdec.cli.run_episode", decode_nothing)
         out = str(tmp_path / "missing" / "report.txt")
         assert main([command, "--r", "0", "--r", "9", "--out", out]) == 6
         err = capsys.readouterr().err

@@ -29,8 +29,10 @@ from specdec.verify import (
 )
 
 from helpers import (
+    PreviousFrameDraft,
     ScriptedDraft,
     ScriptedVerifier,
+    SmoothVerifier,
     WithBound,
     accept_token,
     chain_expected_accepted,
@@ -77,6 +79,19 @@ class AdversarialDraft:
             ]
             self.returned.append(props)
             yield props
+
+
+class ArgmaxAs:
+    """Hands out ``inner``'s argmaxes, each converted by ``kind``."""
+
+    def __init__(self, inner, kind):
+        self.inner, self.vocab_size, self.kind = inner, inner.vocab_size, kind
+
+    def next(self, state):
+        return self.kind(self.inner.next(state))
+
+    def batch(self, state, tree):
+        return [self.kind(t) for t in self.inner.batch(state, tree)]
 
 
 class RecordingVerifier:
@@ -630,6 +645,27 @@ class TestDecodeEpisode:
             assert outcome.emitted == outcome.reference and len(outcome.emitted) == 1
             assert outcome.bonus_used
 
+    @pytest.mark.parametrize("fraction", [0.0, 0.7])
+    def test_a_float_argmax_raises_as_in_ar_decode(self, fraction):
+        # ``int()`` would truncate 37.7 to 37 and decode on; ``ar_decode``
+        # raises, so strict decoding could not equal it.
+        inner, draft = models_for(47)
+        verifier = ArgmaxAs(inner, lambda t: t + fraction)
+        with pytest.raises(TypeError):
+            ar_decode(PrefixState(), verifier, 14)
+        for policy in (AcceptancePolicy.strict(), AcceptancePolicy.relaxed(9)):
+            with pytest.raises(TypeError):
+                decode_episode(PrefixState(), verifier, draft, TreeParams(), policy, 14)
+
+    def test_numpy_integer_argmaxes_are_emitted_as_ints(self):
+        inner, draft = models_for(48)
+        verifier = ArgmaxAs(inner, np.int64)
+        tokens, outcomes = decode_episode(
+            PrefixState(), verifier, draft, TreeParams(), AcceptancePolicy.strict(), 21
+        )
+        assert tokens == ar_decode(PrefixState(), inner, 21)
+        assert all(type(t) is int for o in outcomes for t in o.emitted + o.reference)
+
     def test_relaxed_soundness_on_policy(self):
         verifier, draft = models_for(44, agreement_p=0.4, noise_sigma=5.0)
         params = TreeParams(top_k=4, max_depth=4, max_nodes=30)
@@ -639,6 +675,41 @@ class TestDecodeEpisode:
             for token, ref in zip(outcome.emitted, outcome.reference):
                 assert bin_distance(token, ref) <= 7
             assert outcome.emitted[-1] == outcome.reference[-1]
+
+
+class TestDraftThatNeverCallsTheVerifier:
+    """The correctness invariants for the smooth pair in ``helpers``, whose
+    draft proposes the previous frame's tokens and never calls a verifier."""
+
+    def test_invariants_and_tokens_per_pass(self):
+        verifier, draft = RecordingVerifier(SmoothVerifier(seed=0)), PreviousFrameDraft()
+        params, length, episodes = TreeParams(), 70, 30
+        tokens_per_pass = {}
+        for r in (0, 1, 3, 9):
+            policy = AcceptancePolicy.relaxed(r) if r else AcceptancePolicy.strict()
+            steps = emitted = 0
+            for episode in range(episodes):
+                state = PrefixState(prompt_id=f"ep{episode:06d}", observation_id=f"obs{episode:06d}")
+                tokens, outcomes = decode_episode(state, verifier, draft, params, policy, length)
+                if r == 0:
+                    assert tokens == ar_decode(state, verifier.inner, length)
+                reference = [t for o in outcomes for t in o.reference][:length]
+                assert all(
+                    0 <= t < verifier.vocab_size and bin_distance(t, ref) <= r
+                    for t, ref in zip(tokens, reference, strict=True)
+                )
+                steps += len(outcomes)
+                emitted += sum(len(o.emitted) for o in outcomes)
+            tokens_per_pass[r] = round(emitted / steps, 4)
+        for tree in verifier.trees:
+            assert len(tree.nodes) <= params.max_nodes
+            assert all(node.depth <= params.max_depth for node in tree.nodes)
+        # The first frame's seven steps per episode are the only empty trees.
+        assert sum(not tree.nodes for tree in verifier.trees) == 4 * episodes * 7
+        # Each step's whole ``emitted``, as ``PolicyReport.tokens_per_pass``
+        # counts it.  Every step after the first frame accepts a full path at
+        # r = 3, so r = 9 gains nothing more.
+        assert tokens_per_pass == {0: 2.3055, 1: 3.3437, 3: 3.6, 9: 3.6}
 
 
 class TestAdversarialDrafts:

@@ -30,16 +30,14 @@ from .harness import (
     success_proxy,
 )
 from .models import (
-    Distribution,
     HashVerifier,
     NoisyDraft,
     PrefixState,
     TimedDraft,
     TimedVerifier,
-    TreeDistributions,
     TreeStructureError,
     displacement_pmf,
-    make_noisy_draft,
+    make_noisy_draft,  # for ``bench/run.py`` only, so not in ``__all__``
 )
 from .report import Report, aggregate, render_csv, render_json, render_table, validate_report
 from .verify import (
@@ -58,7 +56,6 @@ __all__ = [
     "ConfigError",
     "CostModel",
     "DimensionBounds",
-    "Distribution",
     "DraftNode",
     "DraftTree",
     "EpisodeStats",
@@ -70,7 +67,6 @@ __all__ = [
     "SpeedupMeasurement",
     "TimedDraft",
     "TimedVerifier",
-    "TreeDistributions",
     "TreeParams",
     "TreeStructureError",
     "VerifyOutcome",
@@ -83,7 +79,6 @@ __all__ = [
     "detokenize",
     "displacement_pmf",
     "enumerate_paths",
-    "make_noisy_draft",
     "measure_speedup",
     "parse_config",
     "render_csv",

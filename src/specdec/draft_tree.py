@@ -85,15 +85,14 @@ class DraftTree:
 
     def __post_init__(self) -> None:
         # A hand-built tree's check; the dataclass is frozen, so a tree stays well formed.
-        object.__setattr__(self, "nodes", self._checked_nodes())
+        object.__setattr__(self, "nodes", self.validate())
 
-    def validate(self) -> None:
-        """Raise ``TreeStructureError`` unless the tree is well formed; node
-        tokens must be integers >= 0, and parents and depths integers."""
-        self._checked_nodes()
+    def validate(self) -> tuple[DraftNode, ...]:
+        """Check the tree and return its nodes with ``int`` token, parent and depth.
 
-    def _checked_nodes(self) -> tuple[DraftNode, ...]:
-        # ``validate``'s check, returning the nodes with ``int`` token, parent and depth.
+        Raises ``TreeStructureError`` unless the tree is well formed; node
+        tokens must be integers >= 0, and parents and depths integers.
+        """
         nodes = tuple(self.nodes)
         if len(nodes) > self.params.max_nodes:
             raise TreeStructureError(f"{len(nodes)} nodes exceed budget {self.params.max_nodes}")

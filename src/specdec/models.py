@@ -121,7 +121,7 @@ class PrefixState:
 
 
 class Distribution:
-    """One verifier argmax, as ``TreeDistributions.root`` and ``.nodes`` hand it out."""
+    """One argmax, as ``TreeDistributions.root`` and ``.nodes`` hand it to ``bench/spans.py``."""
 
     __slots__ = ("argmax",)
 
@@ -162,6 +162,8 @@ class TreeDistributions(_Lazy):
     prefix's key and each node's token.  When an item is first
     read, its prefix key is folded from its parent's, which is folded first
     if it was never read, and kept for the round; the item is drawn then.
+    The engine and the tests read only those ints; ``root`` and ``nodes``
+    wrap them in ``Distribution`` holders for ``bench/spans.py`` alone.
     """
 
     __slots__ = ()
@@ -422,7 +424,7 @@ class NoisyDraft:
             yield list(ranked(center, k))
 
 
-# The draft constructor's older name, which ``bench/run.py`` still calls.
+# ``NoisyDraft``'s older name, which only ``bench/run.py`` still calls.
 make_noisy_draft = NoisyDraft
 
 

@@ -1,23 +1,29 @@
-"""Shared test fixtures: scripted and smooth models, random trees, oracle math, and drift figures.
+"""Shared test fixtures: seeded, scripted and smooth models, random trees, oracles, drift figures.
 
 The oracles are deliberately independent of the engine's own code paths:
 expectations are recomputed from first principles so the tests cross-check
 the implementation instead of echoing it.  ``drift_surrogate`` is a
-measurement instead: it decodes with the engine and reports how far the
-emitted tokens drift from the verifier's own choices.
+measurement instead: it reads episodes the engine decoded and reports how
+far the emitted tokens drift from the verifier's own choices.
 """
 
 import math
 from statistics import median
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from specdec.action_space import CHUNK_SIZE, bin_distance, detokenize
 from specdec.config import RunConfig
-from specdec.harness import run_batch
+from specdec.harness import EpisodeStats
 from specdec.draft_tree import ROOT, DraftNode, DraftTree, TreeParams, build_tree
 from specdec.models import HashVerifier, NoisyDraft, PrefixState, TreeStructureError, _mix, _salt
+
+
+def models_for(seed, agreement_p=0.5, noise_sigma=6.0):
+    """A ``HashVerifier`` at ``seed`` and a ``NoisyDraft`` over it."""
+    verifier = HashVerifier(seed=seed)
+    return verifier, NoisyDraft(verifier, agreement_p=agreement_p, noise_sigma=noise_sigma)
 
 
 class ScriptedVerifier:
@@ -351,18 +357,20 @@ class DriftRow(NamedTuple):
     rot_mrad: float  # median over episodes of the accumulated rotation error, mrad
 
 
-def drift_surrogate(config: RunConfig) -> dict[int, DriftRow]:
+def drift_surrogate(stats: Sequence[EpisodeStats], config: RunConfig) -> dict[int, DriftRow]:
     """Drift of each policy in ``config.r_values`` from the verifier's reference.
 
-    Each episode is decoded with ``run_batch``; the reference is the
-    verifier argmax recorded at every emitted position.  An episode's pose
-    error detokenizes each emitted frame and its reference frame, sums the
+    ``stats`` are the decoded episodes, from ``run_batch`` or from
+    ``run_episode`` over any model pair, each cut to
+    ``config.target_length`` tokens; ``config`` also gives the bounds and
+    vocabulary that detokenize them.  The reference is the verifier argmax
+    recorded at every emitted position.  An episode's pose error
+    detokenizes each emitted frame and its reference frame, sums the
     per-frame differences of the three position dimensions over the
     episode, and takes that sum's norm (meters, shown in mm); likewise the
     three rotation deltas (radians, small angles, shown in mrad).  This is
     a drift surrogate, not task success.
     """
-    stats = run_batch(config)
     rows = {}
     for r in config.r_values:
         steps = accepted = off = 0

@@ -18,7 +18,7 @@ from specdec.cli import main
 from specdec.config import RunConfig
 from specdec.draft_tree import TreeParams, build_tree, enumerate_paths
 from specdec.harness import measure_speedup, run_batch
-from specdec.models import HashVerifier, PrefixState, make_noisy_draft
+from specdec.models import HashVerifier, NoisyDraft, PrefixState
 from specdec.report import aggregate, render_json, validate_report
 from specdec.verify import AcceptancePolicy, ar_decode, decode_episode, verify_tree
 
@@ -55,7 +55,7 @@ def test_losslessness_strict_equals_ar():
         checked = 0
         for i in range(1000):
             verifier = HashVerifier(seed=int(rng.integers(0, 1 << 31)))
-            draft = make_noisy_draft(
+            draft = NoisyDraft(
                 verifier,
                 agreement_p=float(rng.uniform(0.0, 1.0)),
                 noise_sigma=float(rng.uniform(0.5, 8.0)),
@@ -131,7 +131,7 @@ def test_step_monotonicity_in_r():
         # ...half built by the engine against the real verifier.
         for i in range(500):
             verifier = HashVerifier(seed=i)
-            draft = make_noisy_draft(verifier, agreement_p=0.4, noise_sigma=5.0)
+            draft = NoisyDraft(verifier, agreement_p=0.4, noise_sigma=5.0)
             state = PrefixState(prompt_id=f"mono{i}", emitted=(int(rng.integers(0, 256)),))
             params = TreeParams(top_k=3, max_depth=4, max_nodes=20)
             tree = build_tree(state, draft, params, verifier.vocab_size)
@@ -176,7 +176,7 @@ def test_oracle_equivalence():
         # Budget pruning vs exhaustive global re-ranking on small trees.
         for i in range(500):
             verifier = HashVerifier(seed=int(rng.integers(0, 10_000)))
-            draft = make_noisy_draft(
+            draft = NoisyDraft(
                 verifier,
                 agreement_p=float(rng.uniform(0, 1)),
                 noise_sigma=float(rng.uniform(0.5, 8.0)),

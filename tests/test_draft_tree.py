@@ -21,17 +21,11 @@ from specdec.draft_tree import (
     build_tree,
     enumerate_paths,
 )
-from specdec.models import HashVerifier, PrefixState, make_noisy_draft
+from specdec.models import HashVerifier, NoisyDraft, PrefixState
 
-from helpers import WithBound, random_tree, rebuilt, token_path
+from helpers import WithBound, models_for, random_tree, rebuilt, token_path
 
 VOCAB = 256  # HashVerifier's default vocabulary
-
-
-def models_for(seed, agreement_p=0.5, noise_sigma=6.0):
-    verifier = HashVerifier(seed=seed)
-    draft = make_noisy_draft(verifier, agreement_p=agreement_p, noise_sigma=noise_sigma)
-    return verifier, draft
 
 
 def exhaustive_rerank_oracle(state, draft, params):
@@ -172,8 +166,7 @@ class TestBuildTree:
         verifier, draft = models_for(2)
         state = PrefixState()
         tree = build_tree(state, draft, TreeParams(top_k=8, max_depth=4, max_nodes=50), VOCAB)
-        assert len(tree.nodes) == 50
-        tree.validate()
+        assert len(rebuilt(tree).nodes) == 50
 
     def test_matches_exhaustive_rerank_oracle(self):
         def check(state, draft, params):
@@ -231,8 +224,7 @@ class TestBuildTree:
                 for max_nodes in range(1, 31):
                     params = TreeParams(top_k=top_k, max_depth=max_depth, max_nodes=max_nodes)
                     state = PrefixState(prompt_id=f"eager{seed}")
-                    tree = build_tree(state, draft, params, VOCAB)
-                    tree.validate()
+                    tree = rebuilt(build_tree(state, draft, params, VOCAB))
                     kept = exhaustive_rerank_oracle(state, draft, params)
                     assert [token_path(tree, i) for i in range(len(tree.nodes))] == list(kept)
                     assert [n.cum_score for n in tree.nodes] == list(kept.values())
@@ -486,7 +478,7 @@ class TestLogScoreBound:
 
     @pytest.mark.parametrize("vocab_size", [2, 3, 17, 256])
     def test_noisy_draft_bound_is_attained_and_never_exceeded(self, vocab_size):
-        draft = make_noisy_draft(HashVerifier(vocab_size=vocab_size), 0.5, 6.0)
+        draft = NoisyDraft(HashVerifier(vocab_size=vocab_size), 0.5, 6.0)
         bound = draft.max_log_score
         assert -math.inf < bound <= 0.0
         for k in (1, 8):
@@ -640,8 +632,7 @@ class TestBadProposals:
 
     def test_zero_log_score_accepted(self):
         draft = FixedDraft([(10, 0.0), (11, -0.2), (12, -0.3)])
-        tree = build_tree(PrefixState(), draft, self.PARAMS, VOCAB)
-        tree.validate()
+        tree = rebuilt(build_tree(PrefixState(), draft, self.PARAMS, VOCAB))
         assert len(tree.nodes) == 5
 
 
@@ -731,8 +722,7 @@ class TestValidate:
         for tree in (built, replaced):
             for node in tree.nodes:
                 assert type(node.token) is type(node.parent) is type(node.depth) is int
-            assert tree == twin and tree.nodes == plain
-            tree.validate()
+            assert rebuilt(tree) == twin and tree.nodes == plain
 
     def test_non_integer_parent_rejected(self):
         params = TreeParams(top_k=2, max_depth=2, max_nodes=50)

@@ -88,6 +88,22 @@ BOUNDS_CONFIG = {
             "5cc95b69a2f3b83bc1575865320e6da99fd3d20cf8d16f109b3300a2522b2808",
             id="decode-bounds",
         ),
+        pytest.param(
+            ["bench", "--episodes", "4", "--format", "json", "--seed", "0"],
+            "0cb3334daac9c6783ceae0a7f5b1e73b2f642806a452ce0dc83555382d6b7764",
+            id="bench-json-seed0",
+        ),
+        pytest.param(
+            ["bench", "--episodes", "4", "--format", "json", "--seed", "99"],
+            "444aef8be72145b73a107159c91790019c8e6a247d36707b92d994750e3d309a",
+            id="bench-json-seed99",
+        ),
+        pytest.param(
+            # The first default threshold is 0, so this decode is strict.
+            ["decode", "--seed", "99", "--length", "35"],
+            "e88aa03baf8d5f9babe06b65daf6e9289b5d69424d2f1a9cf5a8a8c69560ad80",
+            id="decode-strict",
+        ),
     ],
 )
 def test_cli_output_matches_pinned_digest(argv, digest, tmp_path, capsys):

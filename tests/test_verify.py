@@ -20,7 +20,7 @@ from specdec.draft_tree import (
     build_tree,
     enumerate_paths,
 )
-from specdec.models import HashVerifier, PrefixState, make_noisy_draft
+from specdec.models import HashVerifier, NoisyDraft, PrefixState
 from specdec.verify import (
     AcceptancePolicy,
     ar_decode,
@@ -37,15 +37,11 @@ from helpers import (
     accept_token,
     chain_expected_accepted,
     chain_q,
+    models_for,
     random_tree,
+    rebuilt,
     reference_verify_path,
 )
-
-
-def models_for(seed, agreement_p=0.5, noise_sigma=6.0):
-    verifier = HashVerifier(seed=seed)
-    draft = make_noisy_draft(verifier, agreement_p=agreement_p, noise_sigma=noise_sigma)
-    return verifier, draft
 
 
 class EmptyDraft:
@@ -493,13 +489,11 @@ class TestDecodeEpisode:
 
     def test_engine_trees_are_checked_once(self, monkeypatch):
         # build_tree checks each proposal as it reads it, so its trees skip
-        # the tree check that the constructor and ``validate`` share; a
+        # ``validate``, the tree check that the constructor runs; a
         # hand-built tree still runs it.
         calls = []
-        check = DraftTree._checked_nodes
-        monkeypatch.setattr(
-            DraftTree, "_checked_nodes", lambda tree: calls.append(tree) or check(tree)
-        )
+        check = DraftTree.validate
+        monkeypatch.setattr(DraftTree, "validate", lambda tree: calls.append(tree) or check(tree))
         verifier, draft = models_for(5)
         _, outcomes = decode_episode(
             PrefixState(), verifier, draft, TreeParams(), AcceptancePolicy.relaxed(9), 30
@@ -611,7 +605,7 @@ class TestDecodeEpisode:
         def evals(hide_bound):
             # The draft scores its states through the same counting verifier.
             verifier = RecordingVerifier(HashVerifier(seed=0))
-            draft = make_noisy_draft(verifier, agreement_p=0.5, noise_sigma=6.0)
+            draft = NoisyDraft(verifier, agreement_p=0.5, noise_sigma=6.0)
             _, outcomes = decode_episode(
                 PrefixState(prompt_id="evals"), verifier,
                 WithBound(draft) if hide_bound else draft, TreeParams(),
@@ -751,8 +745,7 @@ class TestAdversarialDrafts:
                 assert all(0 <= token < verifier.vocab_size for token, _ in props)
                 assert all(-math.inf < score <= 0.0 for _, score in props)
             for tree in verifier.trees:
-                tree.validate()
-                assert len(tree.nodes) <= max_nodes
+                assert len(rebuilt(tree).nodes) <= max_nodes
                 assert all(node.depth <= max_depth for node in tree.nodes)
             if policy.mode == "strict":
                 assert tokens == ar_decode(state, verifier.inner, length)
@@ -794,7 +787,7 @@ class TestNoisyDraftAcceptanceShapes:
     def test_unit_displacement_rejected_strictly_accepted_relaxed(self):
         """agreement 0, sigma -> 0: drafts sit exactly 1 bin off the argmax."""
         verifier = HashVerifier(seed=52)
-        draft = make_noisy_draft(verifier, agreement_p=0.0, noise_sigma=1e-6)
+        draft = NoisyDraft(verifier, agreement_p=0.0, noise_sigma=1e-6)
         params = TreeParams(top_k=1, max_depth=3, max_nodes=3)
 
         _, strict_outcomes = decode_episode(

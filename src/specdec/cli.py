@@ -111,16 +111,14 @@ def _cmd_decode(config: RunConfig) -> int:
         + (f" (r={stats.r})" if stats.mode == "relaxed" else "")
         + f", length: {config.target_length}, seed: {config.seed}"
     ]
-    position = 0
     for step, outcome in enumerate(stats.outcomes, start=1):
         drafted = list(outcome.emitted[: outcome.accepted])
         tail = outcome.emitted[-1]
         tail_kind = "bonus" if outcome.bonus_used else "correction"
         lines.append(
-            f"step {step:>3}: pos {position:>4}  accepted {outcome.accepted} {drafted}"
+            f"step {step:>3}: pos {outcome.position:>4}  accepted {outcome.accepted} {drafted}"
             f"  {tail_kind} {tail}"
         )
-        position += len(outcome.emitted)
     emitted = [t for outcome in stats.outcomes for t in outcome.emitted][: config.target_length]
 
     lines.append(f"tokens: {emitted}")
@@ -142,8 +140,6 @@ def _cmd_report(command: str, config: RunConfig) -> int:
     Report rows follow ``r_values``.  Only the ``bench`` renderers show
     measured speedup, so ``ablate`` times nothing.
     """
-    if command == "ablate" and len(config.r_values) < 2:
-        raise ConfigValueError("ablation needs at least 2 r values to sweep")
     stats = run_batch(config)
     measured = command == "bench" and config.measure_speedup
     rep = aggregate(stats, config, measure_speedup(config) if measured else None)
@@ -160,6 +156,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
+        if args.command == "ablate" and len(config.r_values) < 2:
+            raise ConfigValueError("ablation needs at least 2 r values to sweep")
         # Appending nothing checks ``--out`` before any episode runs, and
         # leaves an existing file as it is.
         if config.out is not None and (code := _write(config.out, "a")):

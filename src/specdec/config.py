@@ -109,9 +109,9 @@ class RunConfig:
             ("vocab_size/agreement_p/noise_sigma", lambda: build_models(self)),
             ("top_k/tree_depth/max_nodes", self.tree_params),
             ("verify_latency/draft_latency", self.cost_model),
-            # Relaxed even for r=0, so per_dimension_r is checked when every r is 0.
+            # With the overrides even for r=0, so they are checked when every r is 0.
             ("r_values/per_dimension_r",
-             lambda: [AcceptancePolicy.relaxed(r, self.per_dimension_r) for r in self.r_values]),
+             lambda: [AcceptancePolicy(r, self.per_dimension_r) for r in self.r_values]),
         ):
             try:
                 build()

@@ -24,8 +24,9 @@ only gets better while the level is read.  Once the list is full, a
 child whose score ranks after the last entry is dropped before its path
 and rank key are built.  The draft gets the level's states as a lazy
 sequence whose length is the whole frontier.  Each state is built only
-when the draft reads it, with one mix from its parent's state, which is
-built first the same way if the draft never read it.  So a lazy draft
+when the draft reads it, with one mix from its parent's state, or, if the
+draft never read that parent, with one fold of the whole path from the
+step's state, which gives the same key.  So a lazy draft
 never builds or scores the states of cut nodes.  Chains and trees take
 the same path.
 
@@ -160,15 +161,12 @@ def build_tree(
     low = -math.inf  # the fast proposal check's lower bound, as a local
 
     def state_after(path: tuple[int, ...]) -> PrefixState:
-        # Each read builds the state with one mix from its parent's.  A
-        # parent that no draft read is built first, the same way, after its
-        # own unread ancestors, root side first, so calls nest one deep.
+        # Each read builds the state with one mix from its parent's; under a
+        # parent that no draft read, one fold of the whole path from the root.
         parent = built.get(path[:-1])
-        if parent is None:
-            for m in range(1, len(path)):
-                parent = built.get(path[:m]) or state_after(path[:m])
-        built[path] = state = parent.extend(path[-1])
-        return state
+        after = state.extend_many(path) if parent is None else parent.extend(path[-1])
+        built[path] = after
+        return after
 
     for depth in range(1, params.max_depth + 1):
         if not frontier:

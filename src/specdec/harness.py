@@ -2,9 +2,9 @@
 
 It runs the model pair, tree parameters and cost model a ``RunConfig``
 builds.  Episodes are seeded and independent, so a batch is reproducible
-from the master seed alone.  Each episode keeps its verification outcomes
-and start position; ``report.aggregate`` derives the acceptance histogram
-and per-position averages from those outcomes.
+from the master seed alone.  Each episode keeps its verification outcomes,
+and each outcome the position it was verified at; ``report.aggregate``
+derives the acceptance histogram and per-position averages from them.
 
 Task success needs a robot simulator, which is out of scope here.  As a
 surrogate, an episode "succeeds" when every emitted token stays within a
@@ -28,12 +28,11 @@ from .verify import AcceptancePolicy, VerifyOutcome, ar_decode, decode_episode
 
 @dataclass(frozen=True)
 class EpisodeStats:
-    """One decoded episode for one policy: its outcomes and success."""
+    """One decoded episode for one policy: its outcomes, each with its position, and success."""
 
     mode: str
     r: int
     episode: int
-    start_position: int  # tokens emitted before the first step
     outcomes: tuple[VerifyOutcome, ...]
     success: bool
 
@@ -48,10 +47,8 @@ class EpisodeStats:
 
 
 def policy_for_r(r: int, per_dimension_r: Sequence[int] | None = None) -> AcceptancePolicy:
-    """Strict matching for r=0, distance relaxation otherwise."""
-    if r == 0:
-        return AcceptancePolicy.strict()
-    return AcceptancePolicy.relaxed(r, per_dimension_r)
+    """Strict matching for r=0, whatever the overrides; distance relaxation otherwise."""
+    return AcceptancePolicy(r, per_dimension_r if r else None)
 
 
 def success_proxy(tokens: Sequence[int], reference: Sequence[int], tolerance_bins: int) -> bool:
@@ -84,7 +81,6 @@ def run_episode(
         mode=policy.mode,
         r=policy.r,
         episode=episode,
-        start_position=state.position,
         outcomes=tuple(outcomes),
         success=success_proxy(tokens, reference, success_tolerance),
     )

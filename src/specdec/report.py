@@ -79,7 +79,6 @@ def aggregate(
         position_sums = [0] * CHUNK_SIZE
         position_counts = [0] * CHUNK_SIZE
         for stat in group:
-            position = stat.start_position
             for outcome in stat.outcomes:
                 if outcome.accepted > depth:
                     raise ValueError(
@@ -87,9 +86,8 @@ def aggregate(
                         f"{outcome.accepted} exceeds tree depth {depth}"
                     )
                 histogram[outcome.accepted] += 1
-                position_sums[position % CHUNK_SIZE] += outcome.accepted
-                position_counts[position % CHUNK_SIZE] += 1
-                position += len(outcome.emitted)
+                position_sums[outcome.position % CHUNK_SIZE] += outcome.accepted
+                position_counts[outcome.position % CHUNK_SIZE] += 1
 
         steps = sum(histogram)
         mean_accepted = sum(i * c for i, c in enumerate(histogram)) / steps

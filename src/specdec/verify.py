@@ -24,24 +24,20 @@ from .models import DraftModel, PrefixState, TreeStructureError, Verifier
 
 @dataclass(frozen=True)
 class AcceptancePolicy:
-    """How draft tokens are admitted during verification.
+    """How draft tokens are admitted during verification: by thresholds alone.
 
-    ``strict`` requires an exact token match and takes no threshold;
-    ``relaxed`` admits a draft token whose bin distance to the verifier
-    argmax is at most ``r``.
-    ``per_dimension_r`` optionally overrides the threshold for each of the
-    7 action dimensions (e.g. to force exact matches on the gripper).
-    Thresholds must be integers (``operator.index``); they are stored as
-    ``int``, and ``per_dimension_r`` as a tuple, whatever sequence it came as.
+    A draft token is admitted when its bin distance to the verifier argmax is
+    at most its action dimension's threshold: ``per_dimension_r[d]`` when given
+    (e.g. 0 to force exact gripper matches), else ``r``.  ``mode`` is
+    ``"strict"`` (exact match) for ``r`` 0 with no overrides, else ``"relaxed"``.
+    Thresholds must be integers (``operator.index``) and are stored as ``int``,
+    ``per_dimension_r`` as a tuple, whatever sequence it came as.
     """
 
-    mode: str = "strict"
     r: int = 0
     per_dimension_r: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("strict", "relaxed"):
-            raise ValueError(f"unknown acceptance mode {self.mode!r}")
         # ``operator.index``: a fractional threshold raises instead of truncating.
         object.__setattr__(self, "r", operator.index(self.r))
         if self.per_dimension_r is not None:
@@ -49,21 +45,23 @@ class AcceptancePolicy:
             object.__setattr__(self, "per_dimension_r", overrides)
         if self.r < 0:
             raise ValueError("threshold r must be >= 0")
-        if self.mode == "strict" and (self.r or self.per_dimension_r is not None):
-            raise ValueError("a strict policy takes no threshold")
         if self.per_dimension_r is not None:
             if len(self.per_dimension_r) != CHUNK_SIZE:
                 raise ValueError(f"per_dimension_r must list {CHUNK_SIZE} thresholds")
             if any(t < 0 for t in self.per_dimension_r):
                 raise ValueError("per-dimension thresholds must be >= 0")
 
+    @property
+    def mode(self) -> str:
+        return "strict" if self.r == 0 and self.per_dimension_r is None else "relaxed"
+
     @classmethod
     def strict(cls) -> AcceptancePolicy:
-        return cls(mode="strict", r=0)
+        return cls()
 
     @classmethod
     def relaxed(cls, r: int, per_dimension_r: Sequence[int] | None = None) -> AcceptancePolicy:
-        return cls(mode="relaxed", r=r, per_dimension_r=per_dimension_r)
+        return cls(r, per_dimension_r)
 
     def effective_r(self, dimension: int) -> int:
         if self.per_dimension_r is not None:
@@ -82,7 +80,8 @@ class VerifyOutcome:
     from the verifier's own choices.  Both hold ``int``s: each argmax is
     read by ``operator.index``, so any integer type is stored as ``int`` and
     anything else, a float included, raises ``TypeError``, as it does in
-    :func:`ar_decode`.
+    :func:`ar_decode`.  ``position`` counts the tokens committed before the
+    step, so ``emitted[i]`` sits at action dimension ``(position + i) % 7``.
     """
 
     accepted: int
@@ -90,6 +89,7 @@ class VerifyOutcome:
     reference: tuple[int, ...]
     bonus_used: bool
     chosen_path: int
+    position: int
 
 
 def verify_tree(
@@ -103,6 +103,8 @@ def verify_tree(
     ``verified`` has one entry per node plus the pre-root position:
     ``verified[0]`` conditions on the committed prefix alone and
     ``verified[i + 1]`` on the prefix extended by node ``i``'s root path.
+    ``start_position`` counts the tokens committed before the step; it
+    picks each depth's threshold and is the outcome's ``position``.
     Ties on accepted length go to the path whose leaf comes first in node
     order.  A tree with no nodes degrades to one AR step: the empty path,
     fully accepted, followed by the verifier's bonus token.
@@ -122,7 +124,7 @@ def verify_tree(
     # Each depth's threshold for this step, resolved once; node depths run
     # from 1 to max_depth and never past the node count.
     depths = range(min(tree.params.max_depth, len(nodes)))
-    r_at = [policy.effective_r((start_position + d) % CHUNK_SIZE) for d in depths]
+    r_at = [policy.effective_r(start_position + d) for d in depths]
     # The argmaxes read so far, as ``int``s: position j + 1 after node j, 0
     # (ROOT + 1) after the committed prefix, None while unread.
     argmax: list[int | None] = [None] * (len(nodes) + 1)
@@ -177,6 +179,7 @@ def verify_tree(
         reference=tuple(reversed(refs)) + (next_token,),
         bonus_used=bonus_used,
         chosen_path=best_index,
+        position=start_position,
     )
 
 

@@ -380,13 +380,17 @@ def drift_surrogate(stats: Sequence[EpisodeStats], config: RunConfig) -> dict[in
         for episode in (s for s in stats if s.r == r):
             steps += episode.steps
             accepted += sum(o.accepted for o in episode.outcomes)
-            emitted = [t for o in episode.outcomes for t in o.emitted][: config.target_length]
-            reference = [t for o in episode.outcomes for t in o.reference][: len(emitted)]
-            for i, (token, ref) in enumerate(zip(emitted, reference)):
-                dimension = (episode.start_position + i) % CHUNK_SIZE
+            aligned = [
+                (token, ref, (o.position + i) % CHUNK_SIZE)
+                for o in episode.outcomes
+                for i, (token, ref) in enumerate(zip(o.emitted, o.reference))
+            ][: config.target_length]
+            for token, ref, dimension in aligned:
                 abs_sums[dimension] += bin_distance(token, ref)
                 counts[dimension] += 1
                 off += token != ref
+            emitted = [token for token, _, _ in aligned]
+            reference = [ref for _, ref, _ in aligned]
             pose = [0.0] * CHUNK_SIZE
             for start in range(0, len(emitted), CHUNK_SIZE):
                 frames = (emitted[start : start + CHUNK_SIZE], reference[start : start + CHUNK_SIZE])

@@ -353,6 +353,16 @@ class TestCliCommands:
         assert main(["ablate", "--episodes", "1", "--length", "14", "--r", "9"]) == 5
         capsys.readouterr()
 
+    def test_rejected_ablate_leaves_out_as_it_was(self, tmp_path, capsys):
+        # A one-threshold sweep is rejected before ``--out`` is created or opened.
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        old.write_bytes(b"an earlier report\n")
+        for out in (new, old):
+            assert main(["ablate", "--r", "0", "--episodes", "1", "--out", str(out)]) == 5
+        assert not new.exists()
+        assert old.read_bytes() == b"an earlier report\n"
+        capsys.readouterr()
+
     def test_config_file_drives_bench(self, tmp_path, capsys):
         path = write_config(
             tmp_path,

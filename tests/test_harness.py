@@ -415,9 +415,8 @@ class TestAggregateReport:
             reference=(1,) * (config.tree_depth + 2),
             bonus_used=True,
             chosen_path=0,
+            position=0,
         )
-        stats = EpisodeStats(
-            mode="strict", r=0, episode=0, start_position=0, outcomes=(outcome,), success=True
-        )
+        stats = EpisodeStats(mode="strict", r=0, episode=0, outcomes=(outcome,), success=True)
         with pytest.raises(ValueError, match="exceeds tree depth"):
             aggregate([stats], config)

@@ -20,6 +20,7 @@ from specdec.draft_tree import (
     build_tree,
     enumerate_paths,
 )
+from specdec.harness import policy_for_r
 from specdec.models import HashVerifier, NoisyDraft, PrefixState
 from specdec.verify import (
     AcceptancePolicy,
@@ -183,16 +184,20 @@ class TestAcceptToken:
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
-            AcceptancePolicy(mode="fuzzy")
-        with pytest.raises(ValueError):
             AcceptancePolicy.relaxed(-1)
         with pytest.raises(ValueError):
             AcceptancePolicy.relaxed(3, per_dimension_r=[1, 2, 3])
-        # A strict policy matches exactly, so a threshold would only mislabel it.
-        with pytest.raises(ValueError):
-            AcceptancePolicy(mode="strict", r=5)
-        with pytest.raises(ValueError):
-            AcceptancePolicy(mode="strict", per_dimension_r=(0,) * 7)
+
+    def test_mode_is_read_from_the_thresholds(self):
+        built = (AcceptancePolicy(), AcceptancePolicy.strict(), AcceptancePolicy.relaxed(0))
+        assert built[0] == built[1] == built[2]
+        assert all(policy.mode == "strict" for policy in built)
+        # Overrides that are all 0 still name a threshold per dimension.
+        assert AcceptancePolicy.relaxed(0, (0,) * 7).mode == "relaxed"
+        assert AcceptancePolicy.relaxed(3).mode == "relaxed"
+        assert policy_for_r(0, (9,) * 7) == AcceptancePolicy.strict()
+        with pytest.raises(TypeError, match="unexpected keyword argument 'mode'"):
+            AcceptancePolicy(mode="strict")
 
     def test_relaxed_thresholds_must_be_integers(self):
         # Truncating 2.7 to 2 would silently tighten the threshold.
@@ -206,11 +211,11 @@ class TestAcceptToken:
 
     def test_policy_thresholds_are_integers_however_built(self):
         # The check lives in ``__post_init__``, so direct construction gets it too.
-        with pytest.raises(TypeError):
-            AcceptancePolicy(mode="relaxed", r=2.7)
-        with pytest.raises(TypeError):
-            AcceptancePolicy(mode="relaxed", per_dimension_r=(1, 2, 3, 4, 5, 6, 6.5))
-        policy = AcceptancePolicy(mode="relaxed", r=np.int64(4), per_dimension_r=np.arange(7))
+        with pytest.raises(TypeError, match="interpreted as an integer"):
+            AcceptancePolicy(r=2.7)
+        with pytest.raises(TypeError, match="interpreted as an integer"):
+            AcceptancePolicy(per_dimension_r=(1, 2, 3, 4, 5, 6, 6.5))
+        policy = AcceptancePolicy(r=np.int64(4), per_dimension_r=np.arange(7))
         assert policy.r == 4 and policy.per_dimension_r == (0, 1, 2, 3, 4, 5, 6)
         assert type(policy.r) is int and all(type(t) is int for t in policy.per_dimension_r)
         assert policy == AcceptancePolicy.relaxed(4, per_dimension_r=range(7))
@@ -486,6 +491,20 @@ class TestDecodeEpisode:
                     state, verifier, draft, params, AcceptancePolicy.strict(), 21
                 )
                 assert len(tokens) == 21 and tokens == ar_decode(state, verifier, 21)
+
+    def test_each_outcome_carries_the_position_it_was_verified_at(self):
+        verifier, draft = models_for(3)
+        state = PrefixState(prompt_id="mid", emitted=(5, 6, 7))
+        _, outcomes = decode_episode(
+            state, verifier, draft, TreeParams(), AcceptancePolicy.relaxed(9), 28
+        )
+        assert len(outcomes) > 1
+        for k, outcome in enumerate(outcomes):
+            assert outcome.position == 3 + sum(len(o.emitted) for o in outcomes[:k])
+        tree, verified = chain_tree([128, 128, 109]), [137, 128, 109, 98]
+        at_11 = verify_tree(tree, verified, AcceptancePolicy.strict(), start_position=11)
+        assert at_11.position == 11
+        assert at_11 != verify_tree(tree, verified, AcceptancePolicy.strict(), start_position=4)
 
     def test_engine_trees_are_checked_once(self, monkeypatch):
         # build_tree checks each proposal as it reads it, so its trees skip
